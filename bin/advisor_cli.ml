@@ -724,7 +724,7 @@ let trace_cmd =
 
 (* ----- serve (long-lived batch-profiling daemon) ----- *)
 
-let serve_run finish socket stdio workers queue_cap timeout_ms shards no_cache
+let serve_run finish socket stdio workers queue_cap timeout_ms no_cache
     cache_entries cache_mb cache_dir trace_dir metrics_addr access_log
     access_log_sample =
   let cache =
@@ -746,7 +746,6 @@ let serve_run finish socket stdio workers queue_cap timeout_ms shards no_cache
       queue_cap;
       default_timeout_ms = (if timeout_ms <= 0 then None else Some timeout_ms);
       cache;
-      label = "serve";
       trace_dir;
       metrics_addr;
       access_log;
@@ -754,33 +753,11 @@ let serve_run finish socket stdio workers queue_cap timeout_ms shards no_cache
     }
   in
   match
-    if shards <= 1 then begin
-      let srv = Serve.Server.create cfg in
-      let stop _ = Serve.Server.request_shutdown srv in
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-      Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-      Serve.Server.run srv
-    end
-    else
-      match socket with
-      | None ->
-        failwith "--shards requires --socket (the fleet has no stdio mode)"
-      | Some path ->
-        let fleet =
-          Serve.Fleet.create
-            {
-              Serve.Fleet.socket_path = path;
-              shards;
-              shard_base = { cfg with socket_path = None; stdio = false };
-            }
-        in
-        let stop _ = Serve.Fleet.request_shutdown fleet in
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-        Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-        Sys.set_signal Sys.sighup
-          (Sys.Signal_handle
-             (fun _ -> Serve.Fleet.request_rolling_restart fleet));
-        Serve.Fleet.run fleet
+    let srv = Serve.Server.create cfg in
+    let stop _ = Serve.Server.request_shutdown srv in
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+    Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+    Serve.Server.run srv
   with
   | () ->
     finish ();
@@ -830,16 +807,6 @@ let serve_cmd =
                 with a \"timeout_ms\" field; 0 disables).  A timed-out job \
                 aborts its own simulation only.")
   in
-  let shards_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Run a fleet of $(docv) daemon shards behind one supervisor on \
-                the $(b,--socket) path.  Requests are routed to shards by a \
-                consistent hash of their result-cache key, so repeated \
-                requests hit the same shard's warm caches.  SIGHUP triggers a \
-                rolling restart that drains one shard at a time.")
-  in
   let no_cache_flag =
     Arg.(
       value & flag
@@ -871,8 +838,7 @@ let serve_cmd =
       & info [ "cache-dir" ] ~docv:"DIR"
           ~doc:"Persist the result cache to $(docv) so it survives daemon \
                 restarts; reloaded (newest first, within the configured \
-                bounds) on startup.  With $(b,--shards), each shard uses \
-                $(docv)/shard-<i>.")
+                bounds) on startup.")
   in
   let trace_dir_arg =
     Arg.(
@@ -880,10 +846,9 @@ let serve_cmd =
       & opt (some string) None
       & info [ "trace-dir" ] ~docv:"DIR"
           ~doc:"Write one span record per traced request phase to \
-                $(docv)/spans-<pid>.ndjson (created if missing).  Each \
-                supervisor, shard and worker appends to its own file; \
-                $(b,advisor trace-merge) $(docv) joins them into a single \
-                Chrome trace.")
+                $(docv)/spans-<pid>.ndjson (created if missing); \
+                $(b,advisor trace-merge) $(docv) turns them into a Chrome \
+                trace.")
   in
   let metrics_addr_arg =
     Arg.(
@@ -891,9 +856,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "metrics-addr" ] ~docv:"[HOST:]PORT"
           ~doc:"Serve a Prometheus text exposition of the metrics registry \
-                over HTTP on $(docv) (host defaults to 127.0.0.1).  With \
-                $(b,--shards), the supervisor answers each scrape with a \
-                fresh fleet-wide aggregation.")
+                over HTTP on $(docv) (host defaults to 127.0.0.1).")
   in
   let access_log_arg =
     Arg.(
@@ -901,8 +864,7 @@ let serve_cmd =
       & opt (some string) None
       & info [ "access-log" ] ~docv:"PATH"
           ~doc:"Append one NDJSON line per finished request (op, tier, cache \
-                disposition, queue wait, latency, outcome) to $(docv).  With \
-                $(b,--shards), each shard logs to $(docv).shard-<i>.")
+                disposition, queue wait, latency, outcome) to $(docv).")
   in
   let access_log_sample_arg =
     Arg.(
@@ -923,7 +885,7 @@ let serve_cmd =
     Term.(
       ret
         (const serve_run $ obs_term $ socket_arg $ stdio_flag $ workers_arg
-        $ queue_arg $ timeout_arg $ shards_arg $ no_cache_flag
+        $ queue_arg $ timeout_arg $ no_cache_flag
         $ cache_entries_arg $ cache_mb_arg $ cache_dir_arg $ trace_dir_arg
         $ metrics_addr_arg $ access_log_arg $ access_log_sample_arg))
 
@@ -977,11 +939,11 @@ let trace_merge_cmd =
     (Cmd.info "trace-merge"
        ~doc:"Merge the per-process span files under a $(b,--trace-dir) \
              directory into a single Chrome trace (chrome://tracing, \
-             ui.perfetto.dev) with one process group per supervisor, shard \
-             and worker, linked by trace id.")
+             ui.perfetto.dev) with one process group per daemon role (intake, \
+             worker), linked by trace id.")
     Term.(ret (const trace_merge_run $ dir_arg $ out_arg $ id_arg))
 
-(* ----- top (live fleet dashboard) ----- *)
+(* ----- top (live daemon dashboard) ----- *)
 
 let top_run socket interval_ms frames once =
   let frames = if once then Some 1 else frames in
@@ -995,7 +957,7 @@ let top_cmd =
       required
       & opt (some string) None
       & info [ "socket" ] ~docv:"PATH"
-          ~doc:"Unix-domain socket of the daemon or fleet supervisor to watch.")
+          ~doc:"Unix-domain socket of the daemon to watch.")
   in
   let interval_arg =
     Arg.(
@@ -1020,10 +982,9 @@ let top_cmd =
   in
   Cmd.v
     (Cmd.info "top"
-       ~doc:"Live terminal dashboard over a running serve daemon or fleet: \
-             request throughput, cache hit ratio, queue pressure, shard \
-             health counters and per-op latency percentiles with SLO burn, \
-             refreshed from the aggregated metrics registry.")
+       ~doc:"Live terminal dashboard over a running serve daemon: request \
+             throughput, cache hit ratio, queue pressure and per-op latency \
+             percentiles with SLO burn, refreshed from the metrics registry.")
     Term.(ret (const top_run $ socket_arg $ interval_arg $ frames_arg $ once_flag))
 
 let () =

@@ -30,14 +30,6 @@ type result = {
   warps_per_cta : int;
 }
 
-(* Event-queue implementation driving the launch.  [Exact_heap] is the
-   authoritative scheduler: golden metrics depend on its pop order down
-   to arrangement-dependent tie-breaks (see DESIGN.md).  [Calendar]
-   swaps in the bucketed calendar queue, which pops in the same *key*
-   order but breaks ties FIFO, so per-launch cycle counts can differ in
-   the last few digits; functional results are unaffected. *)
-type sched = Exact_heap | Calendar
-
 let launch_overhead = 2_000
 
 (* Runaway guard, per warp: a single warp spinning without progress is
@@ -122,40 +114,6 @@ let occupancy_limit (arch : Arch.t) ~warps_per_cta ~shared_bytes =
       shared_bytes rounded g arch.shared_mem_per_sm;
   min arch.max_ctas_per_sm (min by_warps by_shared)
 
-(* The event loop is written against this record so the scheduler is
-   swappable; one indirect call per queue operation is noise next to
-   the instruction run each pop now triggers. *)
-type 'a queue = {
-  qpush : int -> 'a -> unit;
-  qpop : unit -> (int * 'a) option;
-  qempty : unit -> bool;
-  (* [qrun_ahead k]: popping right after pushing key [k] would return
-     that same element and leave the queue bit-identical — so the
-     caller may keep hold of the element and skip both operations. *)
-  qrun_ahead : int -> bool;
-  qsize : unit -> int; (* queue-depth sampling (Obs), read-only *)
-}
-
-let heap_queue () : 'a queue =
-  let h = Heap.create () in
-  {
-    qpush = (fun k v -> Heap.push h k v);
-    qpop = (fun () -> Heap.pop h);
-    qempty = (fun () -> Heap.is_empty h);
-    qrun_ahead = (fun k -> Heap.run_ahead_ok h k);
-    qsize = (fun () -> Heap.size h);
-  }
-
-let calendar_queue () : 'a queue =
-  let q = Calq.create () in
-  {
-    qpush = (fun k v -> Calq.push q k v);
-    qpop = (fun () -> Calq.pop q);
-    qempty = (fun () -> Calq.is_empty q);
-    qrun_ahead = (fun k -> Calq.run_ahead_ok q k);
-    qsize = (fun () -> Calq.size q);
-  }
-
 (* ----- self-profiling (Obs) -----
 
    Always-on registry instruments are updated once per launch / per SM
@@ -187,8 +145,8 @@ let sm_cycle_gauge i =
         Hashtbl.replace sm_cycle_gauges i g;
         g)
 
-let launch ?(sink = Hookev.null_sink) ?(l1_enabled = true) ?(sched = Exact_heap)
-    ?(bankmodel = false) device ~prog ~kernel ~grid:(gx, gy) ~block:(bx, by)
+let launch ?(sink = Hookev.null_sink) ?(l1_enabled = true) ?(bankmodel = false)
+    device ~prog ~kernel ~grid:(gx, gy) ~block:(bx, by)
     ~args () : result =
   Obs.Trace.with_span ~cat:"sim" ("launch:" ^ kernel) @@ fun () ->
   let obs_on = Obs.Trace.enabled () in
@@ -263,9 +221,9 @@ let launch ?(sink = Hookev.null_sink) ?(l1_enabled = true) ?(sched = Exact_heap)
   let l2_before =
     { device.l2.Cache.stats with Cache.reads = device.l2.Cache.stats.Cache.reads }
   in
-  let q : (Machine.sm * Machine.warp) queue =
-    match sched with Exact_heap -> heap_queue () | Calendar -> calendar_queue ()
-  in
+  (* the event queue of ready warps; golden metrics depend on its pop
+     order down to arrangement-dependent tie-breaks (see DESIGN.md) *)
+  let q : (Machine.sm * Machine.warp) Heap.t = Heap.create () in
   let total_ctas = gx * gy in
   let next_cta = ref 0 in
   let end_time = ref 0 in
@@ -312,7 +270,7 @@ let launch ?(sink = Hookev.null_sink) ?(l1_enabled = true) ?(sched = Exact_heap)
     in
     cta.Machine.warps <- Lazy.force warps;
     sm.Machine.resident_ctas <- sm.Machine.resident_ctas + 1;
-    Array.iter (fun w -> q.qpush w.Machine.ready_at (sm, w)) cta.Machine.warps;
+    Array.iter (fun w -> Heap.push q w.Machine.ready_at (sm, w)) cta.Machine.warps;
     cta
   in
   (* Initial CTA placement: fill SMs round-robin up to the occupancy
@@ -347,7 +305,7 @@ let launch ?(sink = Hookev.null_sink) ?(l1_enabled = true) ?(sched = Exact_heap)
             w.status <- Machine.Ready;
             w.ready_at <- release_time;
             let sm = sms.(cta.sm_id) in
-            q.qpush w.ready_at (sm, w)
+            Heap.push q w.ready_at (sm, w)
           end)
         cta.warps
     end
@@ -355,15 +313,15 @@ let launch ?(sink = Hookev.null_sink) ?(l1_enabled = true) ?(sched = Exact_heap)
   in
   (* Main event loop.  Each pop steps its warp in a *superstep*: as long
      as the warp stays ready and requeueing it would pop it right back
-     (the [qrun_ahead] identity check), keep stepping it without
+     (the [Heap.run_ahead_ok] identity check), keep stepping it without
      touching the queue.  The skipped push/pop pairs are exact no-ops
      on the queue's internal arrangement, so event ordering — including
      tie-breaks — and therefore cycle counts are bit-identical to the
      one-instruction-per-pop loop. *)
   let pops = ref 0 in
   let steps = ref 0 in
-  while not (q.qempty ()) do
-    match q.qpop () with
+  while not (Heap.is_empty q) do
+    match Heap.pop q with
     | None -> ()
     | Some (_, (sm, warp)) -> (
       (* scheduler/memory-system sampling: only when tracing is on, and
@@ -371,7 +329,7 @@ let launch ?(sink = Hookev.null_sink) ?(l1_enabled = true) ?(sched = Exact_heap)
       if obs_on then begin
         incr pops;
         if !pops land sample_period_mask = 0 then begin
-          Obs.Metrics.observe m_queue_depth (q.qsize ());
+          Obs.Metrics.observe m_queue_depth (Heap.size q);
           Obs.Metrics.observe m_mshr_occupancy (Mshr.in_flight sm.Machine.mshr)
         end
       end;
@@ -400,8 +358,8 @@ let launch ?(sink = Hookev.null_sink) ?(l1_enabled = true) ?(sched = Exact_heap)
           if warp.Machine.ready_at > !end_time then end_time := warp.Machine.ready_at;
           match warp.Machine.status with
           | Machine.Ready ->
-            if not (q.qrun_ahead warp.Machine.ready_at) then begin
-              q.qpush warp.Machine.ready_at (sm, warp);
+            if not (Heap.run_ahead_ok q warp.Machine.ready_at) then begin
+              Heap.push q warp.Machine.ready_at (sm, warp);
               running := false
             end
           | Machine.At_barrier ->

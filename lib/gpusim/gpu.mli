@@ -28,14 +28,6 @@ type result = {
   warps_per_cta : int;
 }
 
-(** Event-queue driving a launch.  [Exact_heap] (the default) is
-    authoritative: golden metrics depend on its pop order down to
-    arrangement-dependent tie-breaks among equal timestamps.
-    [Calendar] uses the bucketed calendar queue ({!Calq}): same key
-    order, FIFO ties, so cycle counts may differ slightly while
-    functional results are identical. *)
-type sched = Exact_heap | Calendar
-
 val launch_overhead : int
 
 (** {2 Per-warp runaway guard}
@@ -105,7 +97,6 @@ val occupancy_limit : Arch.t -> warps_per_cta:int -> shared_bytes:int -> int
 val launch :
   ?sink:Hookev.sink ->
   ?l1_enabled:bool ->
-  ?sched:sched ->
   ?bankmodel:bool ->
   device ->
   prog:Ptx.Isa.prog ->

@@ -86,7 +86,7 @@ let rec skip_trivia st =
   | Some _ | None -> ()
 
 let lex_number st =
-  let start = st.pos in
+  let start = st.pos and line = st.line and col = st.col in
   while (match peek st with Some c -> is_digit c | None -> false) do
     advance st
   done;
@@ -124,8 +124,17 @@ let lex_number st =
       true
     | _ -> is_float
   in
-  if is_float then Token.Float_lit (float_of_string text)
-  else Token.Int_lit (int_of_string text)
+  (* a dangling exponent ("1.5e", "1e+") or an integer past max_int is
+     reported at the literal's start, like any other lex error *)
+  let bad msg = raise (Error { file = st.file; line; col; msg }) in
+  if is_float then
+    match float_of_string_opt text with
+    | Some f -> Token.Float_lit f
+    | None -> bad (Printf.sprintf "malformed float literal '%s'" text)
+  else
+    match int_of_string_opt text with
+    | Some i -> Token.Int_lit i
+    | None -> bad (Printf.sprintf "integer literal '%s' out of range" text)
 
 let next st =
   skip_trivia st;

@@ -177,56 +177,7 @@ let snapshot () =
          (name, v))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* ----- snapshot merging (fleet aggregation) ----- *)
-
-(* Log2 buckets need no per-histogram configuration, so histograms from
-   different processes merge bucket-wise; counts and sums add, the max
-   is the max of maxes.  Property-tested in test_obs.ml: merge is
-   associative and commutative, and merging equals snapshotting the
-   concatenated observations. *)
-let merge_histogram_snapshots a b =
-  let rec merge_filled xs ys =
-    match (xs, ys) with
-    | [], r | r, [] -> r
-    | (bx, cx) :: xt, (by, cy) :: yt ->
-      if bx < by then (bx, cx) :: merge_filled xt ys
-      else if by < bx then (by, cy) :: merge_filled xs yt
-      else (bx, cx + cy) :: merge_filled xt yt
-  in
-  let count = a.count + b.count in
-  let sum = a.sum + b.sum in
-  {
-    count;
-    sum;
-    max_value = max a.max_value b.max_value;
-    mean = (if count = 0 then 0. else float_of_int sum /. float_of_int count);
-    filled = merge_filled a.filled b.filled;
-  }
-
-(* Counters sum, gauges are last-write-wins (the later snapshot in
-   argument order), histograms add bucket-wise.  A name registered as
-   different kinds in different processes is a bug; the later value
-   wins rather than aborting a supervisor over one bad shard. *)
-let merge_values a b =
-  match (a, b) with
-  | Counter x, Counter y -> Counter (x + y)
-  | Histogram x, Histogram y -> Histogram (merge_histogram_snapshots x y)
-  | _, y -> y
-
-(* Merge snapshots left to right into one, sorted by name. *)
-let merge_snapshots snaps =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun snap ->
-      List.iter
-        (fun (name, v) ->
-          match Hashtbl.find_opt tbl name with
-          | None -> Hashtbl.replace tbl name v
-          | Some prev -> Hashtbl.replace tbl name (merge_values prev v))
-        snap)
-    snaps;
-  Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+(* ----- percentiles ----- *)
 
 (* Upper-bound percentile estimate from the log2 buckets: the value is
    the inclusive upper bound of the smallest bucket whose cumulative

@@ -27,14 +27,12 @@ let disable () = Atomic.set enabled_flag false
 
 (* ----- logical process / domain labels ----- *)
 
-(* A serve fleet is several OS processes (supervisor, shards) each with
-   several domains (intake, workers).  Span records written to the sink
-   below carry a logical process label so a merged trace can group work
-   by role rather than by bare pid.  The process-wide label is set once
-   at daemon startup ([set_proc_label]); a long-lived worker domain can
-   override it for itself ([set_domain_label]).  The default is
-   computed lazily from the pid because shard processes fork after this
-   module is initialised. *)
+(* A serve daemon runs several domains (intake, workers).  Span records
+   written to the sink below carry a logical process label so a merged
+   trace can group work by role rather than by bare pid.  The
+   process-wide label is set once at daemon startup ([set_proc_label]);
+   a long-lived worker domain can override it for itself
+   ([set_domain_label]).  Without either, the label is "pid-<pid>". *)
 let proc_label = Atomic.make ""
 let set_proc_label s = Atomic.set proc_label s
 
@@ -81,7 +79,7 @@ type span_record = {
   sr_dur_ns : int;
   sr_pid : int;
   sr_dom : int;
-  sr_proc : string; (* logical process label, e.g. "shard-0/worker" *)
+  sr_proc : string; (* logical process label, e.g. "serve/worker" *)
 }
 
 let sink : (span_record -> unit) option Atomic.t = Atomic.make None
@@ -90,9 +88,9 @@ let set_sink f = Atomic.set sink (Some f)
 let clear_sink () = Atomic.set sink None
 let sink_active () = Atomic.get sink <> None
 
-(* Emit one span record directly (used by the single-domain fleet
-   supervisor, which measures spans by hand rather than nesting
-   [with_span]).  A no-op without a sink. *)
+(* Emit one span record directly, for a span measured by hand rather
+   than by nesting [with_span] (a job's queue wait, a cache probe).  A
+   no-op without a sink. *)
 let record_span ~trace_id ?(parent = "") ?(cat = "") ~name ~start_ns ~dur_ns ()
     =
   match Atomic.get sink with
@@ -283,11 +281,12 @@ let escape s =
 
 (* ----- NDJSON span-record sink (`advisor serve --trace-dir`) ----- *)
 
-(* Each process of a fleet appends its span records to its own
-   [spans-<pid>.ndjson] under a shared directory; `advisor trace-merge`
-   joins them afterwards.  One line per record, flushed immediately so
-   records survive a shard being killed; writes serialize on a mutex
-   (a request emits a handful of spans, each tens of bytes). *)
+(* Each daemon process appends its span records to its own
+   [spans-<pid>.ndjson] under the directory; `advisor trace-merge`
+   turns them into one Chrome trace afterwards.  One line per record,
+   flushed immediately so records survive the daemon being killed;
+   writes serialize on a mutex (a request emits a handful of spans, each
+   tens of bytes). *)
 let dir_sink_mutex = Mutex.create ()
 let dir_sink_oc : out_channel option ref = ref None
 

@@ -1,14 +1,16 @@
-(* Merge per-process span-record files (written by [Trace.open_dir_sink]
-   in every process of a serve fleet) into one Chrome trace-event JSON.
+(* Merge the span-record files under a `serve --trace-dir` directory
+   (written by [Trace.open_dir_sink], one per daemon process) into one
+   Chrome trace-event JSON.
 
    Each input line is one completed span stamped with a trace id, its
-   parent span's name, the OS pid and a logical process label
-   ("supervisor", "shard-0", "shard-0/worker").  The merged view groups
-   spans by (pid, label) — one Chrome "process" per role, named with
-   "ph":"M" metadata — so about:tracing shows one timeline per
-   supervisor/shard/worker with the request linked across them by
-   trace_id in the span args.  Malformed lines are counted and skipped,
-   never fatal: a shard killed mid-write must not sink the merge. *)
+   parent span's name, the OS pid and a logical process label ("serve"
+   for the intake domain, "serve/worker" for worker domains).  The
+   merged view groups spans by (pid, label) — one Chrome "process" per
+   role, named with "ph":"M" metadata — so about:tracing shows one
+   timeline for intake and one for the workers, with the request linked
+   across them by trace_id in the span args.  Malformed lines are
+   counted and skipped, never fatal: a daemon killed mid-write must not
+   sink the merge. *)
 
 type record = {
   r_trace : string;
@@ -103,7 +105,7 @@ let merge ?trace_id ~dir () =
   in
   let keep = List.stable_sort (fun a b -> compare a.r_ts b.r_ts) keep in
   (* One Chrome pid per distinct (os pid, logical label); labels sort
-     first so supervisor/shard-0/shard-0-worker group predictably. *)
+     first so serve / serve/worker group predictably. *)
   let groups = Hashtbl.create 8 in
   List.iter
     (fun r ->

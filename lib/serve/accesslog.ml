@@ -3,7 +3,7 @@
    One JSON object per finished request — op, answer tier, serving
    process, cache disposition, queue wait, run time, total latency and
    outcome — appended to a file and flushed per line so logs survive a
-   killed shard.  A sampling divisor keeps hot fleets affordable: with
+   killed daemon.  A sampling divisor keeps hot daemons affordable: with
    [sample = n] every n-th request is written (the first of each n);
    skipped lines are counted so the log's coverage is computable. *)
 

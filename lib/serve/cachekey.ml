@@ -37,10 +37,7 @@
    each variant's result object by [Tune.Evaluate.variant_key]
    ("evaluate.variant" | app | arch | scale | variant source | knobs),
    so any batch containing a previously evaluated variant hits, no
-   matter how the surrounding batch is shaped.  For the fleet this
-   means a batch routes by the [routing_key] fallback
-   ("evaluate|app|arch"): every batch for one app lands on one shard,
-   which therefore accumulates all of that app's per-variant entries. *)
+   matter how the surrounding batch is shaped. *)
 
 let cacheable_ops = [ "profile"; "profile_fast"; "check"; "bypass" ]
 
@@ -85,14 +82,3 @@ let of_request (r : Protocol.request) : string option =
              ~arch_name:arch.Gpusim.Arch.short_name ~scale ~extra
              ~source:w.Workloads.Common.source ())
       | _ -> None)
-
-(* Routing identity for the shard fleet: the cache key when there is
-   one (so repeats land on the shard that holds the entry), else a
-   stable hash of the op/app/arch triple (so e.g. repeated [compile]
-   requests reuse one shard's warm compile cache). *)
-let routing_key (r : Protocol.request) : string =
-  match of_request r with
-  | Some key -> key
-  | None ->
-    String.concat "|"
-      [ r.op; Option.value r.app ~default:""; r.arch_name ]

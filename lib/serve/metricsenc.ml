@@ -1,16 +1,15 @@
-(* Metrics snapshot <-> JSON encodings shared by the `metrics`,
-   `metrics_raw` and `metrics_text` ops and the fleet supervisor's
-   cross-shard aggregation.
+(* Metrics snapshot <-> JSON encodings of the `metrics`, `metrics_raw`
+   and `metrics_text` ops.
 
    Two shapes:
    - [snapshot_json]: the flat, human-oriented `metrics` result —
      counters as ints, gauges as floats, histograms as objects with
      count/sum/max/mean plus derived p50/p95/p99 and the raw log2
      buckets.
-   - [raw_json]/[of_raw]: a typed, lossless round-trip used by the
-     supervisor to poll shards.  The flat shape cannot be decoded
-     back (ints and floats are indistinguishable to the validator), so
-     aggregation exchanges this explicit form instead. *)
+   - [raw_json]/[of_raw]: a typed, lossless round-trip that `advisor
+     top` polls.  The flat shape cannot be decoded back (ints and
+     floats are indistinguishable to the validator), so a client that
+     needs typed values reads this explicit form instead. *)
 
 module Json = Analysis.Json
 module Jsonv = Obs.Jsonv
@@ -76,8 +75,9 @@ let raw_json snap =
       ("histograms", Json.Obj (List.rev hists)) ]
 
 (* Decode a [raw_json] result back into a snapshot.  Lenient: missing
-   sections or malformed entries are skipped (a shard mid-upgrade must
-   not sink the supervisor), so the result holds whatever decoded. *)
+   sections or malformed entries are skipped (a daemon of another
+   version must not sink the dashboard), so the result holds whatever
+   decoded. *)
 let of_raw (v : Jsonv.t) : (string * Metrics.value) list =
   let obj_fields k =
     match Jsonv.member k v with Some (Jsonv.Obj fs) -> fs | _ -> []

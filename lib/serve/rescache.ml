@@ -247,8 +247,7 @@ let create cfg =
   (match cfg.dir with
   | None -> ()
   | Some dir ->
-    (* mkdir -p: a fleet shard's tier lives at <cache-dir>/shard-<i>,
-       so the parent may not exist yet either *)
+    (* mkdir -p: the parent of <cache-dir> may not exist yet either *)
     let rec mkdir_p d =
       if not (Sys.file_exists d) then begin
         let parent = Filename.dirname d in

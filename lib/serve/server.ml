@@ -34,7 +34,6 @@ type config = {
   queue_cap : int;
   default_timeout_ms : int option; (* None/0 = no per-request deadline *)
   cache : Rescache.config option; (* None = result caching off *)
-  label : string; (* logical process label in span records / access logs *)
   trace_dir : string option; (* write per-request span records here *)
   metrics_addr : string option; (* host:port for Prometheus exposition *)
   access_log : string option; (* NDJSON access log path *)
@@ -49,12 +48,15 @@ let default_config =
     queue_cap = 64;
     default_timeout_ms = Some 300_000;
     cache = Some Rescache.default_config;
-    label = "serve";
     trace_dir = None;
     metrics_addr = None;
     access_log = None;
     access_log_sample = 1;
   }
+
+(* Logical process label in span records and access-log lines; worker
+   domains record as [proc_label ^ "/worker"]. *)
+let proc_label = "serve"
 
 (* ----- metrics ----- *)
 
@@ -121,7 +123,8 @@ let create cfg =
   }
 
 (* Trace ids minted at intake when the client did not send one;
-   pid-qualified so ids from different fleet processes never collide. *)
+   pid-qualified so ids from daemons sharing a trace directory never
+   collide. *)
 let trace_seq = Atomic.make 0
 
 let gen_trace_id () =
@@ -172,7 +175,7 @@ let account t ~(req : Protocol.request) ~outcome ~cache ~wait_ns ~run_ns
   match t.access with
   | None -> ()
   | Some al ->
-    Accesslog.log al ~proc:t.cfg.label ~id:req.Protocol.id ~op:req.Protocol.op
+    Accesslog.log al ~proc:proc_label ~id:req.Protocol.id ~op:req.Protocol.op
       ~app:(Option.value req.Protocol.app ~default:"")
       ~arch:req.Protocol.arch_name ~tier:(request_tier req) ~cache ~outcome
       ~wait_ns ~run_ns ?trace_id ()
@@ -181,7 +184,7 @@ let reject_entry t ~id ~op ~outcome =
   match t.access with
   | None -> ()
   | Some al ->
-    Accesslog.log al ~proc:t.cfg.label ~id ~op ~app:"" ~arch:"" ~tier:""
+    Accesslog.log al ~proc:proc_label ~id ~op ~app:"" ~arch:"" ~tier:""
       ~cache:"" ~outcome ~wait_ns:0 ~run_ns:0 ()
 
 (* ----- job execution (worker domains) ----- *)
@@ -261,7 +264,7 @@ let run_job t job =
   reply job.conn line
 
 let worker_loop t =
-  Obs.Trace.set_domain_label (t.cfg.label ^ "/worker");
+  Obs.Trace.set_domain_label (proc_label ^ "/worker");
   let rec go () =
     match Jobq.pop t.queue with
     | None -> ()
@@ -556,7 +559,7 @@ let answer_scrape listen_fd body =
 
 let run t =
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  if t.cfg.label <> "" then Obs.Trace.set_proc_label t.cfg.label;
+  Obs.Trace.set_proc_label proc_label;
   Option.iter Obs.Trace.open_dir_sink t.cfg.trace_dir;
   let listen_fd = Option.map setup_listener t.cfg.socket_path in
   let metrics_fd = Option.map setup_metrics_listener t.cfg.metrics_addr in

@@ -4,8 +4,8 @@
    a 99% objective: up to 1% of requests may miss the target before the
    error budget is spent.  Every finished request is checked against
    its op's target; misses bump a [serve.slo.<op>.breach] counter, and
-   the fleet `fleet` status derives the burn ratio from that counter
-   and the per-op request histogram — burn < 1 means within budget,
+   `advisor top` derives the burn ratio from that counter and the
+   per-op request histogram — burn < 1 means within budget,
    burn >= 1 means the budget is spent over the daemon's lifetime.
 
    Targets are deliberately loose (they bound tail pain on a loaded
@@ -24,7 +24,6 @@ let default_targets_ms =
     ("metrics", 500);
     ("metrics_raw", 500);
     ("metrics_text", 500);
-    ("fleet", 500);
     ("profile_fast", 250);
     ("compile", 60_000);
     ("profile", 120_000);

@@ -1,10 +1,8 @@
-(* `advisor top`: a live terminal dashboard over a serve daemon or
-   fleet supervisor.
+(* `advisor top`: a live terminal dashboard over a serve daemon.
 
    Polls the socket's `metrics_raw` op (the typed, lossless snapshot
    encoding) at a fixed interval and renders request throughput, cache
-   behaviour, queue pressure, fleet health counters and a per-op
-   latency table with SLO burn.  Rates come from counter deltas between
+   behaviour, queue pressure and a per-op latency table with SLO burn.  Rates come from counter deltas between
    consecutive samples, so the first frame shows totals only.
 
    Rendering is a pure function of two samples ([render]) so tests can
@@ -89,14 +87,6 @@ let render ~prev ~cur =
       (Obs.Trace.pp_duration (Metrics.percentile w 0.99))
       (Obs.Trace.pp_duration w.Metrics.max_value)
   | None -> line "queue      depth %-5.0f" depth);
-  let fwd = c "serve.fleet.forwarded" in
-  if fwd > 0 || c "serve.fleet.requests" > 0 then
-    line "fleet      forwarded %-6d replies %-6d shard failures %d  synthesized %d  restarts %d"
-      fwd
-      (c "serve.fleet.replies")
-      (c "serve.fleet.shard_failures")
-      (c "serve.fleet.synthesized_errors")
-      (c "serve.fleet.restarts");
   let ops = ops_of cur.snap in
   if ops <> [] then begin
     line "";
@@ -121,9 +111,8 @@ let render ~prev ~cur =
 
 (* ----- polling client ----- *)
 
-(* One round trip on a fresh connection per poll: fleets route by
-   connection, and a stuck daemon then costs one interval, not the
-   whole session. *)
+(* One round trip on a fresh connection per poll: a stuck daemon then
+   costs one interval, not the whole session. *)
 let fetch socket_path =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Fun.protect

@@ -10,10 +10,8 @@
    for nn and bfs, native and profiled, to the values of the original
    one-instruction-per-pop heap loop.
 
-   The second half checks the calendar-queue scheduler ([Calq]): it
-   must dequeue in exactly the same *key* order as the heap (ties may
-   reorder payloads), and launches driven by it must be functionally
-   identical to the default scheduler. *)
+   The second half checks [Heap.run_ahead_ok], the identity the
+   superstep loop relies on to skip a push/pop pair. *)
 
 let check_int = Alcotest.(check int)
 
@@ -105,11 +103,11 @@ let test_bfs_profiled_total () =
   in
   check_int "bfs profiled total kernel cycles" 5488491 total
 
-(* ----- calendar queue vs heap ----- *)
+(* ----- heap run-ahead ----- *)
 
 (* Near-monotonic random streams shaped like the event loop's: keys
-   wander forward with occasional far-future spikes (out-of-window ->
-   heap fallback) and pops interleaved with pushes. *)
+   wander forward with occasional far-future spikes and pops
+   interleaved with pushes. *)
 let ops_gen =
   QCheck2.Gen.(
     list_size (int_range 1 400)
@@ -117,58 +115,16 @@ let ops_gen =
          [
            (* push with a small forward delta *)
            map (fun d -> `Push d) (int_range 0 300);
-           (* push far ahead of the window *)
+           (* push far ahead *)
            map (fun d -> `Push d) (int_range 3000 100_000);
            return `Pop;
          ]))
 
-let run_stream ops =
-  let h = Gpusim.Heap.create () in
-  let q = Gpusim.Calq.create ~window:2048 () in
-  let heap_keys = ref [] and calq_keys = ref [] in
-  let base = ref 0 in
-  List.iter
-    (fun op ->
-      match op with
-      | `Push d ->
-        let key = !base + d in
-        (* drift the base like advancing simulation time *)
-        if d < 300 then base := !base + (d / 8);
-        Gpusim.Heap.push h key key;
-        Gpusim.Calq.push q key key
-      | `Pop -> (
-        match (Gpusim.Heap.pop h, Gpusim.Calq.pop q) with
-        | Some (hk, _), Some (qk, _) ->
-          heap_keys := hk :: !heap_keys;
-          calq_keys := qk :: !calq_keys
-        | None, None -> ()
-        | _ -> Alcotest.fail "heap and calq disagree on emptiness"))
-    ops;
-  (* drain both *)
-  let rec drain () =
-    match (Gpusim.Heap.pop h, Gpusim.Calq.pop q) with
-    | Some (hk, _), Some (qk, _) ->
-      heap_keys := hk :: !heap_keys;
-      calq_keys := qk :: !calq_keys;
-      drain ()
-    | None, None -> ()
-    | _ -> Alcotest.fail "heap and calq disagree on emptiness"
-  in
-  drain ();
-  (List.rev !heap_keys, List.rev !calq_keys)
-
-let qcheck_calq_heap_key_order =
-  QCheck2.Test.make ~name:"calendar queue pops the heap's key order" ~count:200
-    ops_gen
-    (fun ops ->
-      let hk, qk = run_stream ops in
-      hk = qk)
-
-let qcheck_calq_run_ahead =
+let qcheck_heap_run_ahead =
   QCheck2.Test.make
-    ~name:"calq run_ahead_ok implies push+pop is an identity" ~count:200 ops_gen
+    ~name:"heap run_ahead_ok implies push+pop is an identity" ~count:200 ops_gen
     (fun ops ->
-      let q = Gpusim.Calq.create ~window:2048 () in
+      let q = Gpusim.Heap.create () in
       let ok = ref true in
       let base = ref 0 in
       List.iter
@@ -177,53 +133,17 @@ let qcheck_calq_run_ahead =
           | `Push d ->
             let key = !base + d in
             if d < 300 then base := !base + (d / 8);
-            if Gpusim.Calq.run_ahead_ok q key then begin
+            if Gpusim.Heap.run_ahead_ok q key then begin
               (* the contract: the element would come straight back *)
-              Gpusim.Calq.push q key (-key - 1);
-              match Gpusim.Calq.pop q with
+              Gpusim.Heap.push q key (-key - 1);
+              match Gpusim.Heap.pop q with
               | Some (k, v) when k = key && v = -key - 1 -> ()
               | _ -> ok := false
             end
-            else Gpusim.Calq.push q key key
-          | `Pop -> ignore (Gpusim.Calq.pop q))
+            else Gpusim.Heap.push q key key
+          | `Pop -> ignore (Gpusim.Heap.pop q))
         ops;
       !ok)
-
-(* A launch driven by the calendar queue must compute the same values
-   (tie order may shift cycles, never results). *)
-let test_calendar_launch_functional () =
-  let src =
-    {|
-__global__ void k(int* out, float* f, int n) {
-  int i = blockIdx.x * blockDim.x + threadIdx.x;
-  if (i < n) {
-    float s = 0.0f;
-    for (int j = 0; j < 8; j = j + 1) { s = s + f[(i + j) % n]; }
-    if (i % 3 == 0) { s = s * 2.0f; }
-    out[i] = i + (int)(s);
-  }
-}
-|}
-  in
-  let run sched =
-    let m = Minicuda.Frontend.compile ~file:"t.cu" src in
-    let prog = Ptx.Codegen.gen_module m in
-    let dev = Gpusim.Gpu.create_device (arch ()) in
-    let n = 500 in
-    let out = Gpusim.Devmem.malloc dev.devmem (4 * n) in
-    let f = Gpusim.Devmem.malloc dev.devmem (4 * n) in
-    Gpusim.Devmem.write_f32_array dev.devmem f
-      (Array.init n (fun i -> float_of_int (i mod 17) *. 0.5));
-    let r =
-      Gpusim.Gpu.launch ~sched dev ~prog ~kernel:"k" ~grid:(4, 1) ~block:(128, 1)
-        ~args:[ Gpusim.Value.I out; Gpusim.Value.I f; Gpusim.Value.I n ] ()
-    in
-    (Gpusim.Devmem.read_i32_array dev.devmem out n, r.stats.Gpusim.Stats.thread_insts)
-  in
-  let exact, exact_insts = run Gpusim.Gpu.Exact_heap in
-  let cal, cal_insts = run Gpusim.Gpu.Calendar in
-  Alcotest.(check (array int)) "same output values" exact cal;
-  check_int "same thread instructions" exact_insts cal_insts
 
 let () =
   Alcotest.run "determinism"
@@ -237,9 +157,6 @@ let () =
         ] );
       ( "schedulers",
         [
-          QCheck_alcotest.to_alcotest qcheck_calq_heap_key_order;
-          QCheck_alcotest.to_alcotest qcheck_calq_run_ahead;
-          Alcotest.test_case "calendar launch functional" `Quick
-            test_calendar_launch_functional;
+          QCheck_alcotest.to_alcotest qcheck_heap_run_ahead;
         ] );
     ]

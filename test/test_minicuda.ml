@@ -56,7 +56,17 @@ let test_lex_errors () =
   check "unterminated comment" true
     (match toks "/* oops" with
     | exception Minicuda.Lexer.Error _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* malformed numeric literals: a lex error at the literal, not a raw
+     Failure from float_of_string / int_of_string *)
+  List.iter
+    (fun lit ->
+      match toks ("x =\n  " ^ lit ^ ";") with
+      | exception Minicuda.Lexer.Error { line; col; _ } ->
+        check_int (lit ^ " line") 2 line;
+        check_int (lit ^ " col") 3 col
+      | _ -> Alcotest.failf "%s lexed without an error" lit)
+    [ "1.5e"; "1e+"; "99999999999999999999999" ]
 
 (* ----- parser / typechecker negative cases ----- *)
 

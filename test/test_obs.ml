@@ -216,7 +216,7 @@ let test_tracing_is_invisible () =
   check_bool "md degree bit-identical" true (off.fp_md_degree = on_.fp_md_degree);
   check_bool "bd identical" true (off.fp_bd = on_.fp_bd)
 
-(* ----- snapshot merging and percentiles (fleet aggregation) ----- *)
+(* ----- percentiles ----- *)
 
 (* Build a histogram snapshot purely from an observation list, mirroring
    [observe]'s aggregate semantics (max over 0, mean = sum/count). *)
@@ -239,52 +239,6 @@ let hsnap values =
       Hashtbl.fold (fun b c acc -> (b, c) :: acc) tbl [] |> List.sort compare;
   }
 
-(* Snapshots of counters and histograms only: gauges are last-write-wins
-   by design, so they are deliberately outside the commutativity law. *)
-let snap_gen =
-  QCheck2.Gen.(
-    let values = list_size (int_range 0 8) (int_range 0 100_000) in
-    let entry =
-      oneof
-        [ map2
-            (fun i n ->
-              (Printf.sprintf "c%d" (abs i mod 4),
-               Obs.Metrics.Counter (abs n mod 1000)))
-            int int;
-          map2
-            (fun i vs ->
-              (Printf.sprintf "h%d" (abs i mod 3),
-               Obs.Metrics.Histogram (hsnap vs)))
-            int values ]
-    in
-    list_size (int_range 0 6) entry)
-
-let qcheck_merge_commutative =
-  QCheck2.Test.make ~name:"snapshot merge is commutative" ~count:200
-    QCheck2.Gen.(pair snap_gen snap_gen)
-    (fun (a, b) ->
-      Obs.Metrics.merge_snapshots [ a; b ] = Obs.Metrics.merge_snapshots [ b; a ])
-
-let qcheck_merge_associative =
-  QCheck2.Test.make ~name:"snapshot merge is associative" ~count:200
-    QCheck2.Gen.(triple snap_gen snap_gen snap_gen)
-    (fun (a, b, c) ->
-      let m = Obs.Metrics.merge_snapshots in
-      m [ m [ a; b ]; c ] = m [ a; m [ b; c ] ]
-      && m [ a; b; c ] = m [ m [ a; b ]; c ])
-
-let qcheck_merge_is_concat =
-  QCheck2.Test.make
-    ~name:"merged histogram = histogram of concatenated observations"
-    ~count:200
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 0 20) (int_range 0 1_000_000))
-        (list_size (int_range 0 20) (int_range 0 1_000_000)))
-    (fun (xs, ys) ->
-      Obs.Metrics.merge_histogram_snapshots (hsnap xs) (hsnap ys)
-      = hsnap (xs @ ys))
-
 let qcheck_percentile_monotone =
   QCheck2.Test.make ~name:"percentiles are monotone in q and bounded by max"
     ~count:300
@@ -302,17 +256,7 @@ let qcheck_percentile_monotone =
       in
       mono ps && List.for_all (fun p -> p <= h.Obs.Metrics.max_value) ps)
 
-let test_merge_units () =
-  let m = Obs.Metrics.merge_snapshots in
-  check_bool "counters sum" true
-    (m [ [ ("a", Obs.Metrics.Counter 2) ]; [ ("a", Obs.Metrics.Counter 3) ] ]
-    = [ ("a", Obs.Metrics.Counter 5) ]);
-  check_bool "gauges last-write" true
-    (m [ [ ("g", Obs.Metrics.Gauge 1.) ]; [ ("g", Obs.Metrics.Gauge 7.) ] ]
-    = [ ("g", Obs.Metrics.Gauge 7.) ]);
-  check_bool "disjoint names union, sorted" true
-    (m [ [ ("b", Obs.Metrics.Counter 1) ]; [ ("a", Obs.Metrics.Counter 1) ] ]
-    = [ ("a", Obs.Metrics.Counter 1); ("b", Obs.Metrics.Counter 1) ]);
+let test_percentile_units () =
   let h = hsnap [ 1; 1; 3; 100 ] in
   check_int "p100 clamps to observed max" 100 (Obs.Metrics.percentile h 1.0);
   check_int "empty histogram percentile" 0 (Obs.Metrics.percentile (hsnap []) 0.99)
@@ -455,18 +399,18 @@ let test_tracemerge () =
     close_out oc
   in
   write "spans-100.ndjson"
-    [ {|{"trace":"t-1","parent":"","name":"fleet:forward","cat":"fleet","ts":1000,"dur":500,"pid":100,"dom":0,"proc":"supervisor"}|};
+    [ {|{"trace":"t-1","parent":"","name":"client:request","cat":"client","ts":1000,"dur":500,"pid":100,"dom":0,"proc":"client"}|};
       "this line is not json" ];
   write "spans-200.ndjson"
-    [ {|{"trace":"t-1","parent":"fleet:forward","name":"serve:intake","ts":1200,"dur":200,"pid":200,"dom":0,"proc":"shard-0"}|};
-      {|{"trace":"t-1","parent":"serve:intake","name":"serve:profile","ts":1300,"dur":80,"pid":200,"dom":1,"proc":"shard-0/worker"}|};
-      {|{"trace":"t-other","parent":"","name":"noise","ts":1,"dur":1,"pid":200,"dom":0,"proc":"shard-0"}|} ];
+    [ {|{"trace":"t-1","parent":"client:request","name":"serve:intake","ts":1200,"dur":200,"pid":200,"dom":0,"proc":"serve"}|};
+      {|{"trace":"t-1","parent":"serve:intake","name":"serve:profile","ts":1300,"dur":80,"pid":200,"dom":1,"proc":"serve/worker"}|};
+      {|{"trace":"t-other","parent":"","name":"noise","ts":1,"dur":1,"pid":200,"dom":0,"proc":"serve"}|} ];
   let m = Obs.Tracemerge.merge ~trace_id:"t-1" ~dir () in
   check_int "files read" 2 m.Obs.Tracemerge.files;
   check_int "spans kept" 3 m.Obs.Tracemerge.records;
   check_int "malformed + filtered skipped" 2 m.Obs.Tracemerge.skipped;
   Alcotest.(check (list string)) "one process group per role"
-    [ "shard-0"; "shard-0/worker"; "supervisor" ]
+    [ "client"; "serve"; "serve/worker" ]
     m.Obs.Tracemerge.procs;
   (match Obs.Jsonv.parse m.Obs.Tracemerge.json with
   | Error e -> Alcotest.failf "merged trace is not valid JSON: %s" e
@@ -505,6 +449,8 @@ let () =
           Alcotest.test_case "bucket endpoints" `Quick test_bucket_endpoints;
           Alcotest.test_case "histogram aggregates" `Quick test_histogram_aggregates;
           Alcotest.test_case "registry" `Quick test_registry;
+          QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
+          Alcotest.test_case "percentile unit cases" `Quick test_percentile_units;
         ] );
       ( "trace",
         [
@@ -512,14 +458,6 @@ let () =
             test_span_nesting_parallel;
           Alcotest.test_case "exception safety" `Quick test_span_exception_safety;
           Alcotest.test_case "capacity truncation" `Quick test_capacity_truncation;
-        ] );
-      ( "merge",
-        [
-          QCheck_alcotest.to_alcotest qcheck_merge_commutative;
-          QCheck_alcotest.to_alcotest qcheck_merge_associative;
-          QCheck_alcotest.to_alcotest qcheck_merge_is_concat;
-          QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
-          Alcotest.test_case "merge unit cases" `Quick test_merge_units;
         ] );
       ( "exposition",
         [

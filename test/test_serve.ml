@@ -670,26 +670,6 @@ let test_cachekey_tier_separation () =
   check_string "profile_fast is the static entry" static fast;
   check_string "profile_fast with tier spelled out too" static fast_spelled
 
-(* Excluding one shard from the ring moves only that shard's keys. *)
-let test_chash_stability () =
-  let ring = Serve.Chash.make [ 0; 1; 2; 3 ] in
-  let all _ = true in
-  let keys = List.init 200 (fun i -> Printf.sprintf "key-%d" i) in
-  let moved =
-    List.filter
-      (fun k ->
-        let before = Serve.Chash.route ring ~alive:all k in
-        let after = Serve.Chash.route ring ~alive:(fun s -> s <> 2) k in
-        match (before, after) with
-        | Some 2, Some s -> s = 2 (* must move off 2: never true *)
-        | Some b, Some a -> b <> a (* must not move *)
-        | _ -> true)
-      keys
-  in
-  check_int "only the excluded shard's keys moved" 0 (List.length moved);
-  check_bool "no live shard routes nothing" true
-    (Serve.Chash.route ring ~alive:(fun _ -> false) "x" = None)
-
 (* ----- stale socket files ----- *)
 
 let test_stale_socket_recovered () =
@@ -939,225 +919,43 @@ let test_slo_accounting () =
   check_bool "burn without traffic is 0" true
     (Serve.Slo.burn ~breaches:0 ~requests:0 = 0.)
 
-(* ----- the shard fleet, end to end -----
+(* ----- --trace-dir, end to end -----
 
-   The supervisor forks, which is only well-defined from a
-   single-domain process — so these tests drive the real CLI binary as
-   a subprocess instead of running a fleet in this (multi-domain) test
-   runner. *)
+   Drives the real CLI binary as a subprocess: the span sink is
+   process-global, so an in-process daemon would leak span records
+   from every other test in this runner into the directory. *)
 
 let cli_binary () =
   Filename.concat
     (Filename.concat (Filename.dirname Sys.executable_name) "../bin")
     "advisor_cli.exe"
 
-let start_fleet ?(extra_args = []) ~shards path =
+(* One traced profile through `advisor serve --trace-dir`: trace-merge
+   turns the daemon's span file into a Chrome trace with separate
+   intake and worker process groups, holding the request's spans under
+   the client's trace id. *)
+let test_trace_dir_merge () =
   let cli = cli_binary () in
-  if not (Sys.file_exists cli) then
-    Alcotest.skip ();
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let pid =
-    Unix.create_process cli
-      (Array.of_list
-         ([ cli; "serve"; "--socket"; path; "--shards"; string_of_int shards;
-            "--workers"; "2" ]
-         @ extra_args))
-      devnull devnull devnull
-  in
-  Unix.close devnull;
-  pid
-
-let stop_fleet pid path =
-  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  ignore (Unix.waitpid [] pid);
-  try Unix.unlink path with Unix.Unix_error _ -> ()
-
-(* Ask the supervisor for fleet state until every shard reports "up". *)
-let wait_fleet_up fd n =
-  let deadline = Unix.gettimeofday () +. 30.0 in
-  let rec go () =
-    send fd {|{"id": "up?", "op": "fleet"}|};
-    let v = parse_resp (List.hd (read_lines fd 1)) in
-    let states =
-      match Jsonv.member "shards" (field "result" v) with
-      | Some (Jsonv.Arr shards) ->
-        List.filter_map
-          (fun s ->
-            match Jsonv.member "state" s with
-            | Some (Jsonv.Str st) -> Some st
-            | _ -> None)
-          shards
-      | _ -> []
-    in
-    if List.length states = n && List.for_all (( = ) "up") states then ()
-    else if Unix.gettimeofday () > deadline then
-      Alcotest.failf "fleet never became ready (states: %s)"
-        (String.concat "," states)
-    else begin
-      Unix.sleepf 0.05;
-      go ()
-    end
-  in
-  go ()
-
-let fleet_pids fd =
-  send fd {|{"id": "pids", "op": "fleet"}|};
-  let v = parse_resp (List.hd (read_lines fd 1)) in
-  match Jsonv.member "shards" (field "result" v) with
-  | Some (Jsonv.Arr shards) ->
-    List.filter_map
-      (fun s ->
-        match Jsonv.member "pid" s with
-        | Some (Jsonv.Num p) -> Some (int_of_float p)
-        | _ -> None)
-      shards
-  | _ -> []
-
-let test_fleet_end_to_end () =
-  let expected = expected_profile_nn_line ~id:41 in
-  let path = fresh_socket_path () in
-  let pid = start_fleet ~shards:2 path in
-  Fun.protect
-    ~finally:(fun () -> stop_fleet pid path)
-    (fun () ->
-      let fd = connect path in
-      wait_fleet_up fd 2;
-      (* cold then hot: both byte-identical to the one-shot report *)
-      send fd {|{"id": 41, "op": "profile", "app": "nn"}|};
-      let cold = List.hd (read_lines fd 1) in
-      check_string "served-through-fleet profile == one-shot" expected cold;
-      send fd {|{"id": 41, "op": "profile", "app": "nn"}|};
-      let hot = List.hd (read_lines fd 1) in
-      check_string "cached fleet response is byte-identical" expected hot;
-      (* errors still relay *)
-      send fd {|{"id": 42, "op": "profile", "app": "doom"}|};
-      check_string "unknown app through the fleet" "unknown_app"
-        (resp_err_code (parse_resp (List.hd (read_lines fd 1))));
-      send fd "not json at all";
-      check_string "garbage answered by the supervisor" "bad_request"
-        (resp_err_code (parse_resp (List.hd (read_lines fd 1))));
-      Unix.close fd)
-
-let test_fleet_rolling_restart_drops_nothing () =
-  let path = fresh_socket_path () in
-  let pid = start_fleet ~shards:2 path in
-  Fun.protect
-    ~finally:(fun () -> stop_fleet pid path)
-    (fun () ->
-      let fd = connect path in
-      wait_fleet_up fd 2;
-      (* warm one cache entry so the stream below has hot traffic *)
-      send fd {|{"id": 0, "op": "profile", "app": "nn"}|};
-      ignore (read_lines fd 1);
-      let before = fleet_pids fd in
-      Unix.kill pid Sys.sighup;
-      (* hammer the fleet while it restarts shard by shard: every
-         round-trip must come back ok *)
-      let deadline = Unix.gettimeofday () +. 60.0 in
-      let requests = ref 0 in
-      let rec pump () =
-        incr requests;
-        send fd
-          (Printf.sprintf {|{"id": %d, "op": "profile", "app": "nn"}|}
-             !requests);
-        let v = parse_resp (List.hd (read_lines fd 1)) in
-        check_bool
-          (Printf.sprintf "request %d survived the rolling restart" !requests)
-          true (resp_ok v);
-        let after = fleet_pids fd in
-        let all_replaced =
-          List.length after = List.length before
-          && List.for_all (fun p -> not (List.mem p before)) after
-        in
-        if not all_replaced then
-          if Unix.gettimeofday () > deadline then
-            Alcotest.failf "rolling restart never completed (pids %s -> %s)"
-              (String.concat "," (List.map string_of_int before))
-              (String.concat "," (List.map string_of_int after))
-          else begin
-            Unix.sleepf 0.02;
-            pump ()
-          end
-      in
-      pump ();
-      wait_fleet_up fd 2;
-      check_bool "traffic flowed during the restart" true (!requests > 0);
-      (* and the fleet still serves correct bytes afterwards *)
-      send fd {|{"id": 77, "op": "profile", "app": "nn"}|};
-      let line = List.hd (read_lines fd 1) in
-      Unix.close fd;
-      check_string "post-restart response is still byte-identical"
-        (expected_profile_nn_line ~id:77) line)
-
-(* ----- fleet telemetry ----- *)
-
-let fetch_snapshot path =
-  let fd = connect path in
-  send fd {|{"id": "m", "op": "metrics_raw"}|};
-  let v = parse_resp (List.hd (read_lines fd 1)) in
-  Unix.close fd;
-  Serve.Metricsenc.of_raw (field "result" v)
-
-let snap_counter snap name =
-  match List.assoc_opt name snap with
-  | Some (Obs.Metrics.Counter n) -> n
-  | _ -> 0
-
-let snap_hist_count snap name =
-  match List.assoc_opt name snap with
-  | Some (Obs.Metrics.Histogram h) -> h.Obs.Metrics.count
-  | _ -> 0
-
-(* The supervisor's aggregated `metrics` must equal the per-shard sums.
-   Pinned on counters no probe or metrics poll can move (simulator
-   launches, finished profile ops): the shards are read directly first,
-   then the aggregate — any in-between metrics traffic cannot change
-   those. *)
-let test_fleet_aggregated_metrics () =
-  let path = fresh_socket_path () in
-  let pid = start_fleet ~shards:2 path in
-  Fun.protect
-    ~finally:(fun () -> stop_fleet pid path)
-    (fun () ->
-      let fd = connect path in
-      wait_fleet_up fd 2;
-      send fd {|{"id": 1, "op": "profile", "app": "nn"}|};
-      send fd {|{"id": 2, "op": "profile", "app": "bicg"}|};
-      let by_id = collect fd 2 in
-      List.iter
-        (fun i -> check_bool "profile ok" true (resp_ok (snd (List.assoc i by_id))))
-        [ 1; 2 ];
-      let s0 = fetch_snapshot (path ^ ".shard-0") in
-      let s1 = fetch_snapshot (path ^ ".shard-1") in
-      let agg = fetch_snapshot path in
-      Unix.close fd;
-      check_int "aggregated sim.launches = shard sums"
-        (snap_counter s0 "sim.launches" + snap_counter s1 "sim.launches")
-        (snap_counter agg "sim.launches");
-      check_bool "profiles actually launched simulations" true
-        (snap_counter agg "sim.launches" > 0);
-      check_int "aggregated profile latency count = shard sums"
-        (snap_hist_count s0 "serve.op.profile.ns"
-        + snap_hist_count s1 "serve.op.profile.ns")
-        (snap_hist_count agg "serve.op.profile.ns");
-      check_int "both profiles are in the aggregate" 2
-        (snap_hist_count agg "serve.op.profile.ns"))
-
-(* One traced profile through a 2-shard fleet: the merged Chrome trace
-   holds spans from at least three process groups (supervisor, shard
-   intake, shard worker) linked by the client's trace id. *)
-let test_fleet_distributed_trace () =
+  if not (Sys.file_exists cli) then Alcotest.skip ();
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "advisor-test-spans-%d" (Unix.getpid ()))
   in
   let path = fresh_socket_path () in
-  let pid = start_fleet ~shards:2 ~extra_args:[ "--trace-dir"; dir ] path in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+  let pid =
+    Unix.create_process cli
+      [| cli; "serve"; "--socket"; path; "--workers"; "2"; "--trace-dir"; dir |]
+      devnull devnull devnull
+  in
+  Unix.close devnull;
   let stopped = ref false in
   let stop_once () =
     if not !stopped then begin
       stopped := true;
-      stop_fleet pid path
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      try Unix.unlink path with Unix.Unix_error _ -> ()
     end
   in
   Fun.protect
@@ -1171,93 +969,31 @@ let test_fleet_distributed_trace () =
       end)
     (fun () ->
       let fd = connect path in
-      wait_fleet_up fd 2;
       send fd {|{"id": 1, "op": "profile", "app": "nn", "trace_id": "t-e2e-1"}|};
       let v = parse_resp (List.hd (read_lines fd 1)) in
       check_bool "traced profile ok" true (resp_ok v);
       Unix.close fd;
-      (* drain the fleet so every span file is closed and flushed *)
+      (* drain the daemon so its span file is closed and flushed *)
       stop_once ();
       let m = Obs.Tracemerge.merge ~trace_id:"t-e2e-1" ~dir () in
-      check_bool
-        (Printf.sprintf "spans from >= 3 process groups (got %s)"
-           (String.concat "," m.Obs.Tracemerge.procs))
-        true
-        (List.length m.Obs.Tracemerge.procs >= 3);
-      check_bool "supervisor group present" true
-        (List.mem "supervisor" m.Obs.Tracemerge.procs);
-      check_bool "a shard group present" true
-        (List.exists
-           (fun p -> contains p "shard-" && not (contains p "/worker"))
-           m.Obs.Tracemerge.procs);
-      check_bool "a worker group present" true
-        (List.exists (fun p -> contains p "/worker") m.Obs.Tracemerge.procs);
+      let procs = m.Obs.Tracemerge.procs in
+      List.iter
+        (fun p ->
+          check_bool
+            (Printf.sprintf "process group %s present (got %s)" p
+               (String.concat "," procs))
+            true (List.mem p procs))
+        [ "serve"; "serve/worker" ];
       let j = m.Obs.Tracemerge.json in
       List.iter
         (fun name ->
           check_bool (Printf.sprintf "span %s present" name) true
-            (contains j name))
-        [ "fleet:forward"; "fleet:await"; "serve:intake"; "serve:queue";
-          "serve:profile" ];
+            (contains j (Printf.sprintf "\"name\":\"%s\"" name)))
+        [ "serve:intake"; "serve:queue"; "serve:profile" ];
       (* the merged trace is valid JSON *)
       match Jsonv.parse j with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "merged trace does not parse: %s" e)
-
-(* A shard killed mid-request: the client gets a synthesized "failed"
-   error, and the aggregate counts it (the pre-fix code synthesized the
-   line without counting it anywhere). *)
-let test_fleet_shard_death_counted () =
-  let path = fresh_socket_path () in
-  let pid = start_fleet ~shards:2 path in
-  Fun.protect
-    ~finally:(fun () -> stop_fleet pid path)
-    (fun () ->
-      let fd = connect path in
-      wait_fleet_up fd 2;
-      send fd {|{"id": 9, "op": "sleep", "ms": 30000}|};
-      (* find the shard holding the sleeping request and kill it hard *)
-      let fd2 = connect path in
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let rec victim () =
-        send fd2 {|{"id": "v", "op": "fleet"}|};
-        let v = parse_resp (List.hd (read_lines fd2 1)) in
-        let busy =
-          match Jsonv.member "shards" (field "result" v) with
-          | Some (Jsonv.Arr shards) ->
-            List.filter_map
-              (fun s ->
-                match
-                  (Jsonv.member "pid" s, Jsonv.member "outstanding" s)
-                with
-                | Some (Jsonv.Num p), Some (Jsonv.Num o) when o >= 1. ->
-                  Some (int_of_float p)
-                | _ -> None)
-              shards
-          | _ -> []
-        in
-        match busy with
-        | p :: _ -> p
-        | [] ->
-          if Unix.gettimeofday () > deadline then
-            Alcotest.fail "no shard ever reported the sleep outstanding"
-          else begin
-            Unix.sleepf 0.02;
-            victim ()
-          end
-      in
-      let shard_pid = victim () in
-      Unix.kill shard_pid Sys.sigkill;
-      (* the supervisor synthesizes the failure for the orphaned id *)
-      let v = parse_resp (List.hd (read_lines fd 1)) in
-      check_string "synthesized failure code" "failed" (resp_err_code v);
-      let agg = fetch_snapshot path in
-      check_bool "synthesized errors counted" true
-        (snap_counter agg "serve.fleet.synthesized_errors" >= 1);
-      check_bool "shard failure counted" true
-        (snap_counter agg "serve.fleet.shard_failures" >= 1);
-      Unix.close fd;
-      Unix.close fd2)
 
 (* ----- jobq ----- *)
 
@@ -1639,8 +1375,6 @@ let () =
             test_cachekey_of_request;
           Alcotest.test_case "answer tier separates entries" `Quick
             test_cachekey_tier_separation;
-          Alcotest.test_case "consistent hashing moves only lost keys" `Quick
-            test_chash_stability;
         ] );
       ( "sockets",
         [
@@ -1658,6 +1392,8 @@ let () =
           Alcotest.test_case "access log with sampling" `Quick
             test_access_log_sampling;
           Alcotest.test_case "SLO breach accounting" `Quick test_slo_accounting;
+          Alcotest.test_case "trace-dir spans merge into one trace" `Quick
+            test_trace_dir_merge;
         ] );
       ( "evaluate",
         [
@@ -1668,19 +1404,6 @@ let () =
             test_evaluate_resubmit_cache_hits;
           Alcotest.test_case "deadline yields a partial batch" `Quick
             test_evaluate_deadline_partial_batch;
-        ] );
-      ( "fleet",
-        [
-          Alcotest.test_case "2-shard fleet end to end" `Quick
-            test_fleet_end_to_end;
-          Alcotest.test_case "rolling restart drops nothing" `Quick
-            test_fleet_rolling_restart_drops_nothing;
-          Alcotest.test_case "aggregated metrics equal shard sums" `Quick
-            test_fleet_aggregated_metrics;
-          Alcotest.test_case "distributed trace merges >= 3 processes" `Quick
-            test_fleet_distributed_trace;
-          Alcotest.test_case "shard death is counted and synthesized" `Quick
-            test_fleet_shard_death_counted;
         ] );
       ( "bugfixes",
         [
