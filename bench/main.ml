@@ -327,6 +327,14 @@ let bechamel () =
                ignore (Advisor.run_native ~arch:(kepler16 ()) nn)));
         Test.make ~name:"fig4-reuse-distance"
           (Staged.stage (fun () -> ignore (Analysis.Reuse_distance.of_trace trace)));
+        Test.make ~name:"fig8-report-nn"
+          (Staged.stage (fun () ->
+               ignore
+                 (Analysis.Report.of_profile ~app:"nn"
+                    ~arch_name:session.Advisor.arch.Gpusim.Arch.name
+                    ~line_size:session.Advisor.arch.Gpusim.Arch.line_size
+                    session.Advisor.profiler
+                 |> Analysis.Json.to_string)));
         Test.make ~name:"fig5-mem-divergence"
           (Staged.stage (fun () ->
                ignore (Analysis.Mem_divergence.of_trace ~line_size:128 trace)));

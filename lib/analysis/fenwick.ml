@@ -2,9 +2,16 @@
    reuse-distance analyzer to count distinct elements between two
    accesses in O(log n). *)
 
-type t = { n : int; tree : int array }
+type t = { mutable n : int; mutable tree : int array }
 
 let create n = { n; tree = Array.make (n + 1) 0 }
+
+(* Empty the tree and resize it to positions 1..n, reusing its storage
+   when it is large enough (one tree serves every CTA of a trace). *)
+let reset t n =
+  if n + 1 > Array.length t.tree then t.tree <- Array.make (n + 1) 0
+  else Array.fill t.tree 0 (n + 1) 0;
+  t.n <- n
 
 let add t i delta =
   if i < 1 || i > t.n then invalid_arg (Printf.sprintf "Fenwick.add: index %d" i);

@@ -81,32 +81,43 @@ type site = {
   site_avg_lines : float;
 }
 
-let sites_of_trace ~line_size (tr : Profiler.Tracebuf.t) =
+(* Folds the instances' traces in launch order.  Locations are interned
+   across traces in first-seen order, so the table sees the same keys in
+   the same insertion order as over one trace of all the events, and the
+   stable sort keeps ties in that order. *)
+let sites_of_traces ~line_size (traces : Profiler.Tracebuf.t list) =
   (* keyed by (interned location id, CCT node) so the pass stays on flat
      ints; ids decode to locations only in the final fold *)
   let table : (int * int, int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
+  let locs = Loc_intern.create () in
   let scratch = Array.make 64 0 in
-  let arena = Profiler.Tracebuf.addr_arena tr in
-  Profiler.Tracebuf.iter tr (fun i ->
-      let n = Profiler.Tracebuf.acc_len tr i in
-      if n > 0 then begin
-        let width = max 1 (Profiler.Tracebuf.bits tr i / 8) in
-        let lines =
-          min max_lines
-            (Gpusim.Coalesce.collect_unique_lines ~line_size ~width ~src:arena
-               ~off:(Profiler.Tracebuf.acc_off tr i) ~n scratch)
-        in
-        let key = (Profiler.Tracebuf.loc_id tr i, Profiler.Tracebuf.node tr i) in
-        match Hashtbl.find_opt table key with
-        | Some (count, sum) ->
-          incr count;
-          sum := !sum + lines
-        | None -> Hashtbl.replace table key (ref 1, ref lines)
-      end);
+  List.iter
+    (fun tr ->
+      let global = Loc_intern.of_trace locs tr in
+      let arena = Profiler.Tracebuf.addr_arena tr in
+      Profiler.Tracebuf.iter tr (fun i ->
+          let n = Profiler.Tracebuf.acc_len tr i in
+          if n > 0 then begin
+            let width = max 1 (Profiler.Tracebuf.bits tr i / 8) in
+            let lines =
+              min max_lines
+                (Gpusim.Coalesce.collect_unique_lines ~line_size ~width ~src:arena
+                   ~off:(Profiler.Tracebuf.acc_off tr i) ~n scratch)
+            in
+            let key =
+              (global.(Profiler.Tracebuf.loc_id tr i), Profiler.Tracebuf.node tr i)
+            in
+            match Hashtbl.find_opt table key with
+            | Some (count, sum) ->
+              incr count;
+              sum := !sum + lines
+            | None -> Hashtbl.replace table key (ref 1, ref lines)
+          end))
+    traces;
   Hashtbl.fold
     (fun (loc_id, node) (count, sum) acc ->
       {
-        site_loc = Profiler.Tracebuf.loc_of_id tr loc_id;
+        site_loc = Loc_intern.loc locs loc_id;
         site_node = node;
         site_count = !count;
         site_avg_lines = float_of_int !sum /. float_of_int !count;
@@ -115,7 +126,7 @@ let sites_of_trace ~line_size (tr : Profiler.Tracebuf.t) =
     table []
   |> List.sort (fun a b -> compare b.site_avg_lines a.site_avg_lines)
 
-let sites ~line_size events = sites_of_trace ~line_size (Profiler.Tracebuf.of_events events)
+let sites_of_trace ~line_size tr = sites_of_traces ~line_size [ tr ]
 
 let pp fmt r =
   Format.fprintf fmt "@[<v>";

@@ -35,6 +35,10 @@ type site = {
   site_avg_lines : float;
 }
 
+(** Sites over several traces (a whole application's instances, in
+    launch order), equal to {!sites_of_trace} over one trace of all
+    their events in order, tie order included. *)
+val sites_of_traces : line_size:int -> Profiler.Tracebuf.t list -> site list
+
 val sites_of_trace : line_size:int -> Profiler.Tracebuf.t -> site list
-val sites : line_size:int -> (Gpusim.Hookev.mem * int) list -> site list
 val pp : Format.formatter -> result -> unit

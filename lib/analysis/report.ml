@@ -46,8 +46,8 @@ let summary_json (s : Statistics.summary) =
       ("min", Json.Float s.min); ("max", Json.Float s.max);
       ("stddev", Json.Float s.stddev) ]
 
-let sites_json ~line_size events ~top =
-  let sites = Mem_divergence.sites ~line_size events in
+let sites_json ~line_size traces ~top =
+  let sites = Mem_divergence.sites_of_traces ~line_size traces in
   let sites = List.filteri (fun i _ -> i < top) sites in
   Json.List
     (List.map
@@ -117,7 +117,6 @@ let bank_conflict_json (bc : Bank_conflict.result) =
 let of_profile ?(top_sites = 5) ?bank_conflict ~app ~arch_name ~line_size
     (profiler : Profiler.Profile.t) =
   let instances = Profiler.Profile.instances profiler in
-  let events = List.concat_map Profiler.Profile.mem_events instances in
   (* an application that launched nothing still gets a valid report *)
   let rd =
     match instances with
@@ -145,7 +144,10 @@ let of_profile ?(top_sites = 5) ?bank_conflict ~app ~arch_name ~line_size
        ("reuse_distance", reuse_distance_json rd);
        ("memory_divergence", mem_divergence_json md);
        ("branch_divergence", branch_divergence_json bd);
-       ("divergent_sites", sites_json ~line_size events ~top:top_sites);
+       ( "divergent_sites",
+         sites_json ~line_size
+           (List.map (fun (i : Profiler.Profile.instance) -> i.trace) instances)
+           ~top:top_sites );
        ("contexts", Json.List contexts) ]
     @
     match bank_conflict with

@@ -19,14 +19,19 @@ type bucket = B0 | B1_2 | B3_8 | B9_32 | B33_128 | B129_512 | B_gt512 | B_inf
 
 let buckets = [ B0; B1_2; B3_8; B9_32; B33_128; B129_512; B_gt512; B_inf ]
 
-let bucket_of_distance = function
-  | 0 -> B0
-  | d when d <= 2 -> B1_2
-  | d when d <= 8 -> B3_8
-  | d when d <= 32 -> B9_32
-  | d when d <= 128 -> B33_128
-  | d when d <= 512 -> B129_512
-  | _ -> B_gt512
+(* Bucket index of a finite distance, in [buckets] order; [inf_index]
+   is the infinity bucket. *)
+let bucket_index d =
+  if d = 0 then 0
+  else if d <= 2 then 1
+  else if d <= 8 then 2
+  else if d <= 32 then 3
+  else if d <= 128 then 4
+  else if d <= 512 then 5
+  else 6
+
+let inf_index = 7
+let bucket_of_distance d = List.nth buckets (bucket_index d)
 
 let bucket_label = function
   | B0 -> "0"
@@ -57,112 +62,171 @@ let no_reuse_fraction result =
   if result.samples = 0 then 0.
   else float_of_int result.infinite_reuses /. float_of_int result.samples
 
-(* One CTA's access stream, packed as [elem * 2 lor is_write] per lane
-   access in execution order (no tuple per access). *)
-let analyze_stream (accesses : Profiler.Intvec.t) =
-  let n = Profiler.Intvec.length accesses in
-  let bit = Fenwick.create (max n 1) in
-  let last : (int, int) Hashtbl.t = Hashtbl.create 1024 in
-  let hist = Hashtbl.create 8 in
-  let bump bucket = Hashtbl.replace hist bucket (1 + Option.value (Hashtbl.find_opt hist bucket) ~default:0) in
-  let finite = ref 0 and infinite = ref 0 in
-  let sum = ref 0 and maxd = ref 0 in
+(* The trace's lane accesses regrouped by CTA with a counting sort over
+   the CTA column: [stream] holds [elem * 2 lor is_write] per lane
+   access, CTA after CTA, each in execution order.  CTA [lo + s], with
+   [lo] the smallest CTA id that accessed memory, is the slice
+   [starts.(s), starts.(s + 1)); CTA ids are a launch's dense linear
+   ids, so the id range is at most the grid. *)
+let group_by_cta ~granularity (tr : Profiler.Tracebuf.t) =
+  let n = Profiler.Tracebuf.length tr in
+  let lo = ref max_int and hi = ref min_int in
   for i = 0 to n - 1 do
-    let packed = Profiler.Intvec.get accesses i in
-    let elem = packed lsr 1 and is_write = packed land 1 = 1 in
-    let pos = i + 1 in
-    if is_write then (
-      (* write-evict: pending forward reuse of the old value dies *)
-      match Hashtbl.find_opt last elem with
-      | Some q ->
-        bump B_inf;
-        incr infinite;
-        Fenwick.add bit q (-1);
-        Hashtbl.remove last elem
-      | None -> ())
-    else begin
-      (match Hashtbl.find_opt last elem with
-      | Some q ->
-        let d = Fenwick.between bit ~lo:q ~hi:pos in
-        bump (bucket_of_distance d);
-        incr finite;
-        sum := !sum + d;
-        if d > !maxd then maxd := d;
-        Fenwick.add bit q (-1)
-      | None -> ());
-      Hashtbl.replace last elem pos;
-      Fenwick.add bit pos 1
+    if Profiler.Tracebuf.acc_len tr i > 0 then begin
+      let c = Profiler.Tracebuf.cta tr i in
+      if c < !lo then lo := c;
+      if c > !hi then hi := c
     end
   done;
-  (* accesses still pending at the end were never reused *)
-  Hashtbl.iter
-    (fun _ _ ->
-      bump B_inf;
-      incr infinite)
-    last;
-  (hist, !finite, !infinite, !sum, !maxd)
+  let nslots = if !hi < !lo then 0 else !hi - !lo + 1 in
+  let starts = Array.make (nslots + 1) 0 in
+  for i = 0 to n - 1 do
+    let len = Profiler.Tracebuf.acc_len tr i in
+    if len > 0 then begin
+      let s = Profiler.Tracebuf.cta tr i - !lo + 1 in
+      starts.(s) <- starts.(s) + len
+    end
+  done;
+  for s = 1 to nslots do
+    starts.(s) <- starts.(s) + starts.(s - 1)
+  done;
+  let stream = Array.make starts.(nslots) 0 in
+  let fill = Array.sub starts 0 nslots in
+  let arena = Profiler.Tracebuf.addr_arena tr in
+  for i = 0 to n - 1 do
+    let len = Profiler.Tracebuf.acc_len tr i in
+    if len > 0 then begin
+      let s = Profiler.Tracebuf.cta tr i - !lo in
+      let is_write =
+        if Profiler.Tracebuf.kind tr i = Passes.Hooks.mem_kind_store then 1 else 0
+      in
+      let div =
+        match granularity with
+        | Element -> max 1 (Profiler.Tracebuf.bits tr i / 8)
+        | Cache_line line -> line
+      in
+      let off = Profiler.Tracebuf.acc_off tr i in
+      let k = fill.(s) in
+      for j = 0 to len - 1 do
+        stream.(k + j) <- ((arena.(off + j) / div) lsl 1) lor is_write
+      done;
+      fill.(s) <- k + len
+    end
+  done;
+  (stream, starts)
 
-(* Element id of one lane access under the chosen granularity. *)
-let element_of ~granularity ~bits addr =
-  match granularity with
-  | Element -> addr / max 1 (bits / 8)
-  | Cache_line line -> addr / line
+(* Last-use table: int keys, open addressing with linear probing.  Slot
+   [s] maps element [keys.(s)] to [vals.(s)], the stream position (1 +
+   index into the grouped stream) of its pending use, negated once a
+   write killed that use.  Positions only grow, so a slot whose
+   [abs vals.(s)] is at most the current CTA's [base] belongs to an
+   earlier CTA and counts as free: moving to the next CTA clears
+   nothing, and within one CTA an occupied slot never frees (a kill
+   keeps the key), so every probe chain stays intact. *)
+type last_use = {
+  mutable keys : int array;
+  mutable vals : int array;
+  mutable bits : int; (* log2 of the capacity *)
+  mutable used : int; (* slots occupied by the current CTA *)
+}
+
+let create_last_use () =
+  { keys = Array.make 1024 0; vals = Array.make 1024 0; bits = 10; used = 0 }
+
+(* Fibonacci hashing: the top [bits] bits of the product. *)
+let[@inline] home t key = (key * 0x3e3779b97f4a7c15) lsr (63 - t.bits)
+
+(* Slot of [key], or the free slot where it would go. *)
+let probe t ~base key =
+  let mask = (1 lsl t.bits) - 1 in
+  let s = ref (home t key) in
+  while abs (Array.unsafe_get t.vals !s) > base && Array.unsafe_get t.keys !s <> key do
+    s := (!s + 1) land mask
+  done;
+  !s
+
+(* Double the capacity, keeping the current CTA's slots. *)
+let grow t ~base =
+  let keys = t.keys and vals = t.vals in
+  t.bits <- t.bits + 1;
+  t.keys <- Array.make (1 lsl t.bits) 0;
+  t.vals <- Array.make (1 lsl t.bits) 0;
+  Array.iteri
+    (fun s v ->
+      if abs v > base then begin
+        let s' = probe t ~base keys.(s) in
+        t.keys.(s') <- keys.(s);
+        t.vals.(s') <- v
+      end)
+    vals
 
 (* Analyze the packed trace of one kernel instance (in execution
-   order), regrouped per CTA as in the paper.  One pass over the
-   columns builds packed per-CTA streams; no per-event record is
-   decoded. *)
+   order), regrouped per CTA as in the paper.  The CTA streams are one
+   counting-sorted int array; no per-event record is decoded and no
+   polymorphic hash runs per access. *)
 let of_trace ?(granularity = Element) (tr : Profiler.Tracebuf.t) =
-  let per_cta : (int, Profiler.Intvec.t) Hashtbl.t = Hashtbl.create 64 in
-  let arena = Profiler.Tracebuf.addr_arena tr in
-  Profiler.Tracebuf.iter tr (fun i ->
-      let n = Profiler.Tracebuf.acc_len tr i in
-      if n > 0 then begin
-        let stream =
-          let cta = Profiler.Tracebuf.cta tr i in
-          match Hashtbl.find_opt per_cta cta with
-          | Some v -> v
-          | None ->
-            let v = Profiler.Intvec.create () in
-            Hashtbl.replace per_cta cta v;
-            v
-        in
-        let is_write =
-          if Profiler.Tracebuf.kind tr i = Passes.Hooks.mem_kind_store then 1 else 0
-        in
-        let bits = Profiler.Tracebuf.bits tr i in
-        let off = Profiler.Tracebuf.acc_off tr i in
-        for j = off to off + n - 1 do
-          let elem = element_of ~granularity ~bits arena.(j) in
-          Profiler.Intvec.push stream ((elem lsl 1) lor is_write)
-        done
-      end);
-  let hist_total = Hashtbl.create 8 in
-  let finite = ref 0 and infinite = ref 0 and sum = ref 0 and maxd = ref 0 in
-  Hashtbl.iter
-    (fun _cta stream ->
-      let hist, f, inf, s, m = analyze_stream stream in
-      Hashtbl.iter
-        (fun b c ->
-          Hashtbl.replace hist_total b
-            (c + Option.value (Hashtbl.find_opt hist_total b) ~default:0))
-        hist;
-      finite := !finite + f;
-      infinite := !infinite + inf;
-      sum := !sum + s;
-      maxd := max !maxd m)
-    per_cta;
-  let histogram =
-    List.map
-      (fun b -> (b, Option.value (Hashtbl.find_opt hist_total b) ~default:0))
-      buckets
-  in
+  let stream, starts = group_by_cta ~granularity tr in
+  let hist = Array.make (inf_index + 1) 0 in
+  let finite = ref 0 and sum = ref 0 and maxd = ref 0 in
+  let bit = Fenwick.create 0 in
+  let last = create_last_use () in
+  for s = 0 to Array.length starts - 2 do
+    let base = starts.(s) and stop = starts.(s + 1) in
+    if stop > base then begin
+      Fenwick.reset bit (stop - base);
+      last.used <- 0;
+      (* uses still pending, never reused if the CTA ends now *)
+      let live = ref 0 in
+      for i = base to stop - 1 do
+        let packed = stream.(i) in
+        let elem = packed asr 1 in
+        let pos = i + 1 in
+        let slot = probe last ~base elem in
+        let v = last.vals.(slot) in
+        if packed land 1 = 1 then begin
+          (* write-evict: the pending forward reuse of the old value dies *)
+          if v > base then begin
+            hist.(inf_index) <- hist.(inf_index) + 1;
+            decr live;
+            Fenwick.add bit (v - base) (-1);
+            last.vals.(slot) <- -v
+          end
+        end
+        else begin
+          if v > base then begin
+            let d = Fenwick.between bit ~lo:(v - base) ~hi:(pos - base) in
+            let b = bucket_index d in
+            hist.(b) <- hist.(b) + 1;
+            incr finite;
+            sum := !sum + d;
+            if d > !maxd then maxd := d;
+            Fenwick.add bit (v - base) (-1);
+            last.vals.(slot) <- pos
+          end
+          else begin
+            incr live;
+            last.vals.(slot) <- pos;
+            if v >= -base then begin
+              (* a free slot, not a killed key: claim it *)
+              last.keys.(slot) <- elem;
+              last.used <- last.used + 1;
+              if 2 * last.used > 1 lsl last.bits then grow last ~base
+            end
+          end;
+          Fenwick.add bit (pos - base) 1
+        end
+      done;
+      (* accesses still pending at the end were never reused *)
+      hist.(inf_index) <- hist.(inf_index) + !live
+    end
+  done;
+  let infinite = hist.(inf_index) in
   {
     granularity;
-    samples = !finite + !infinite;
-    histogram;
+    samples = !finite + infinite;
+    histogram = List.mapi (fun i b -> (b, hist.(i))) buckets;
     finite_reuses = !finite;
-    infinite_reuses = !infinite;
+    infinite_reuses = infinite;
     mean_finite_distance =
       (if !finite = 0 then 0. else float_of_int !sum /. float_of_int !finite);
     max_finite_distance = !maxd;

@@ -35,8 +35,10 @@ val fraction : result -> bucket -> float
 (** Fraction of no-reuse samples, in [0,1]. *)
 val no_reuse_fraction : result -> float
 
-(** Analyze a packed trace in one pass over its columns: per-CTA
-    streams are built without decoding any event record. *)
+(** Analyze a packed trace on flat int data: a counting sort over the
+    CTA column regroups the lane accesses into one int array, and
+    last uses live in an int-keyed open-addressing table.  No event
+    record is decoded and no polymorphic hash runs per access. *)
 val of_trace : ?granularity:granularity -> Profiler.Tracebuf.t -> result
 
 (** Convenience wrapper over {!of_trace} for unpacked event lists

@@ -30,15 +30,11 @@ let reuse_fraction s =
    locations are interned across traces so the pass stays on ints. *)
 let of_traces ~line_size (traces : Profiler.Tracebuf.t list) =
   let per_cta : (int, Profiler.Intvec.t) Hashtbl.t = Hashtbl.create 64 in
-  (* global location interning across traces *)
-  let loc_ids : (Bitc.Loc.t, int) Hashtbl.t = Hashtbl.create 64 in
-  let locs : Bitc.Loc.t list ref = ref [] in
-  let nlocs = ref 0 in
+  let locs = Loc_intern.create () in
   let next_event = ref 0 in
   List.iter
     (fun tr ->
-      (* per-trace cache: global id of each of the trace's interned locs *)
-      let local = Array.make (max 1 (Profiler.Tracebuf.num_locs tr)) (-1) in
+      let global = Loc_intern.of_trace locs tr in
       let arena = Profiler.Tracebuf.addr_arena tr in
       Profiler.Tracebuf.iter tr (fun i ->
           let event_id = !next_event in
@@ -54,25 +50,7 @@ let of_traces ~line_size (traces : Profiler.Tracebuf.t list) =
                 Hashtbl.replace per_cta cta v;
                 v
             in
-            let lid = Profiler.Tracebuf.loc_id tr i in
-            let gloc =
-              if local.(lid) >= 0 then local.(lid)
-              else begin
-                let loc = Profiler.Tracebuf.loc_of_id tr lid in
-                let g =
-                  match Hashtbl.find_opt loc_ids loc with
-                  | Some g -> g
-                  | None ->
-                    let g = !nlocs in
-                    incr nlocs;
-                    Hashtbl.add loc_ids loc g;
-                    locs := loc :: !locs;
-                    g
-                in
-                local.(lid) <- g;
-                g
-              end
-            in
+            let gloc = global.(Profiler.Tracebuf.loc_id tr i) in
             let is_write =
               if Profiler.Tracebuf.kind tr i = Passes.Hooks.mem_kind_store then 1
               else 0
@@ -85,10 +63,9 @@ let of_traces ~line_size (traces : Profiler.Tracebuf.t list) =
             done
           end))
     traces;
-  let loc_of_gloc = Array.make (max 1 !nlocs) Bitc.Loc.none in
-  List.iteri (fun i loc -> loc_of_gloc.(!nlocs - 1 - i) <- loc) !locs;
-  let counts = Array.make (max 1 !nlocs) 0 in
-  let reused = Array.make (max 1 !nlocs) 0 in
+  let nlocs = Loc_intern.count locs in
+  let counts = Array.make nlocs 0 in
+  let reused = Array.make nlocs 0 in
   Hashtbl.iter
     (fun _cta stream ->
       (* for each load, was its line touched again by a *later* warp
@@ -135,10 +112,10 @@ let of_traces ~line_size (traces : Profiler.Tracebuf.t list) =
       done)
     per_cta;
   let acc = ref [] in
-  for g = !nlocs - 1 downto 0 do
+  for g = nlocs - 1 downto 0 do
     if counts.(g) > 0 then
       acc :=
-        { loc = loc_of_gloc.(g); accesses = counts.(g); reused_later = reused.(g) }
+        { loc = Loc_intern.loc locs g; accesses = counts.(g); reused_later = reused.(g) }
         :: !acc
   done;
   List.sort (fun a b -> Bitc.Loc.compare a.loc b.loc) !acc

@@ -455,10 +455,12 @@ let step ctx (sm : sm) (warp : warp) =
       !acc
     in
     let base_t = max warp.ready_at sm.next_issue in
-    if srcs_ready > base_t then
+    if srcs_ready > base_t then begin
       (* operands still in flight: requeue without consuming an issue
          slot so other warps fill the latency *)
+      ctx.stats.requeues <- ctx.stats.requeues + 1;
       warp.ready_at <- srcs_ready
+    end
     else begin
     let issue = base_t in
     sm.next_issue <- issue + ctx.arch.issue_gap;

@@ -126,6 +126,8 @@ let occupancy_limit (arch : Arch.t) ~warps_per_cta ~shared_bytes =
 let m_launches = Obs.Metrics.counter "sim.launches"
 let m_cycles = Obs.Metrics.counter "sim.cycles"
 let m_warp_insts = Obs.Metrics.counter "sim.warp_insts"
+let m_sched_pops = Obs.Metrics.counter "sim.sched.pops"
+let m_requeues = Obs.Metrics.counter "sim.sched.requeues"
 let m_l1_hit_rate = Obs.Metrics.histogram "sim.l1.hit_rate_pct"
 let m_mshr_occupancy = Obs.Metrics.histogram "sim.mshr.occupancy"
 let m_queue_depth = Obs.Metrics.histogram "sim.queue.depth"
@@ -324,6 +326,7 @@ let launch ?(sink = Hookev.null_sink) ?(l1_enabled = true) ?(bankmodel = false)
     match Heap.pop q with
     | None -> ()
     | Some (_, (sm, warp)) -> (
+      stats.Stats.sched_pops <- stats.Stats.sched_pops + 1;
       (* scheduler/memory-system sampling: only when tracing is on, and
          only every [sample_period_mask + 1] pops *)
       if obs_on then begin
@@ -407,6 +410,8 @@ let launch ?(sink = Hookev.null_sink) ?(l1_enabled = true) ?(bankmodel = false)
   Obs.Metrics.incr m_launches;
   Obs.Metrics.add m_cycles (!end_time + launch_overhead);
   Obs.Metrics.add m_warp_insts stats.Stats.warp_insts;
+  Obs.Metrics.add m_sched_pops stats.Stats.sched_pops;
+  Obs.Metrics.add m_requeues stats.Stats.requeues;
   Array.iter
     (fun (sm : Machine.sm) ->
       let s = sm.l1.Cache.stats in

@@ -18,6 +18,10 @@ type t = {
   mutable shared_conflict_accesses : int; (* accesses with degree > 1 *)
   mutable shared_conflict_replays : int; (* sum of (degree - 1) *)
   mutable shared_broadcasts : int; (* accesses where >1 lane shared a word *)
+  (* event scheduler: heap pops, and steps that found their operands in
+     flight and requeued the warp without issuing *)
+  mutable sched_pops : int;
+  mutable requeues : int;
 }
 
 let create () =
@@ -37,6 +41,8 @@ let create () =
     shared_conflict_accesses = 0;
     shared_conflict_replays = 0;
     shared_broadcasts = 0;
+    sched_pops = 0;
+    requeues = 0;
   }
 
 let pp fmt t =

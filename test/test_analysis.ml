@@ -41,6 +41,24 @@ let qcheck_fenwick_matches_naive =
       done;
       !ok)
 
+let qcheck_fenwick_between =
+  QCheck2.Test.make ~name:"fenwick between = prefix difference, reset empties"
+    ~count:100
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 50) (pair (int_range 1 40) (int_range (-3) 3)))
+        (pair (int_range 0 41) (int_range 0 41)))
+    (fun (updates, (lo, hi)) ->
+      let t = Analysis.Fenwick.create 40 in
+      List.iter (fun (i, d) -> Analysis.Fenwick.add t i d) updates;
+      let expect =
+        if hi <= lo + 1 then 0
+        else Analysis.Fenwick.prefix t (hi - 1) - Analysis.Fenwick.prefix t lo
+      in
+      let between = Analysis.Fenwick.between t ~lo ~hi in
+      Analysis.Fenwick.reset t 20;
+      between = expect && Analysis.Fenwick.prefix t 20 = 0)
+
 (* ----- reuse distance ----- *)
 
 (* The paper's example: sequence ABCCDEFAAAB — "the reuse distance of B
@@ -130,6 +148,143 @@ let qcheck_rd_write_only_no_samples_finite =
       in
       (Analysis.Reuse_distance.of_events events).finite_reuses = 0)
 
+(* Two interleaved CTAs each read elements 0..m-1 and then m-1..0: the
+   second read of element k is at distance m-1-k.  With m past the
+   last-use table's initial capacity this covers its growth, and the
+   second CTA reuses the grown table's slots from the first. *)
+let test_rd_large_table () =
+  let open Analysis.Reuse_distance in
+  let m = 1500 in
+  let order = List.init m Fun.id @ List.init m (fun k -> m - 1 - k) in
+  let events =
+    List.concat_map (fun e -> [ mem_event ~cta:0 [ 4 * e ]; mem_event ~cta:1 [ 4 * e ] ]) order
+  in
+  let count b =
+    if b = B_inf then 2 * m
+    else 2 * List.length (List.filter (fun d -> bucket_of_distance d = b) (List.init m Fun.id))
+  in
+  let expect =
+    { granularity = Element;
+      samples = 4 * m;
+      histogram = List.map (fun b -> (b, count b)) buckets;
+      finite_reuses = 2 * m;
+      infinite_reuses = 2 * m;
+      mean_finite_distance = float_of_int (m - 1) /. 2.;
+      max_finite_distance = m - 1 }
+  in
+  check "closed form" true (of_events events = expect)
+
+(* Naive O(n^2) reference of [Reuse_distance.of_trace], CTA by CTA.
+   Every load is one sample: a later load of its element with no store
+   of it in between is a finite reuse, whose distance is the number of
+   distinct elements with a live use strictly between the two (loaded
+   there and not stored since); a store first, or no later access,
+   makes it infinite. *)
+let naive_reuse ~granularity events =
+  let open Analysis.Reuse_distance in
+  let elem_of (m : Gpusim.Hookev.mem) addr =
+    match granularity with
+    | Element -> addr / max 1 (m.bits / 8)
+    | Cache_line line -> addr / line
+  in
+  let ctas = List.sort_uniq compare (List.map (fun ((m : Gpusim.Hookev.mem), _) -> m.cta) events) in
+  let hist = Hashtbl.create 8 in
+  let bump b = Hashtbl.replace hist b (1 + Option.value ~default:0 (Hashtbl.find_opt hist b)) in
+  let finite = ref 0 and infinite = ref 0 and sum = ref 0 and maxd = ref 0 in
+  List.iter
+    (fun cta ->
+      let stream =
+        List.concat_map
+          (fun ((m : Gpusim.Hookev.mem), _) ->
+            if m.cta <> cta then []
+            else
+              Array.to_list
+                (Array.map
+                   (fun (_, a) -> (elem_of m a, m.kind = Passes.Hooks.mem_kind_store))
+                   m.accesses))
+          events
+        |> Array.of_list
+      in
+      let n = Array.length stream in
+      Array.iteri
+        (fun k (e, is_store) ->
+          if not is_store then begin
+            let next = ref None in
+            for p = n - 1 downto k + 1 do
+              if fst stream.(p) = e then next := Some p
+            done;
+            match !next with
+            | Some p when not (snd stream.(p)) ->
+              (* walk back from p: an element counts at its last load
+                 before p unless a store of it follows that load *)
+              let stored = Hashtbl.create 8 and counted = Hashtbl.create 8 in
+              for r = p - 1 downto k + 1 do
+                let e', st = stream.(r) in
+                if st then Hashtbl.replace stored e' ()
+                else if not (Hashtbl.mem stored e' || Hashtbl.mem counted e') then
+                  Hashtbl.replace counted e' ()
+              done;
+              let d = Hashtbl.length counted in
+              bump (bucket_of_distance d);
+              incr finite;
+              sum := !sum + d;
+              maxd := max !maxd d
+            | _ ->
+              bump B_inf;
+              incr infinite
+          end)
+        stream)
+    ctas;
+  {
+    granularity;
+    samples = !finite + !infinite;
+    histogram =
+      List.map (fun b -> (b, Option.value ~default:0 (Hashtbl.find_opt hist b))) buckets;
+    finite_reuses = !finite;
+    infinite_reuses = !infinite;
+    mean_finite_distance =
+      (if !finite = 0 then 0. else float_of_int !sum /. float_of_int !finite);
+    max_finite_distance = !maxd;
+  }
+
+(* Random traces: 1-4 CTAs (a dense id range or sparse ids), loads and
+   stores of 1/4/8-byte width, 0-4 lanes each.  Addresses come from a
+   range small enough to reuse or wide enough to grow the last-use
+   table, or from a pool of 400 scattered addresses: consecutive
+   elements hash without collisions, scattered ones build the probe
+   chains a store must not break. *)
+let gen_rd_events =
+  let open QCheck2.Gen in
+  let* ctas =
+    oneof
+      [ map (fun n -> List.init n Fun.id) (int_range 1 4);
+        list_size (int_range 1 4) (int_range 0 100_000) ]
+  in
+  let* addr =
+    oneof
+      [ map (fun range -> int_range 0 range) (oneofl [ 64; 512; 1_000_000 ]);
+        map oneofa (array_size (return 400) (int_range 0 1_000_000_000)) ]
+  in
+  list_size (int_range 1 300)
+    (let* cta = oneofl ctas in
+     let* store = bool in
+     let* bits = oneofl [ 8; 32; 64 ] in
+     let* addrs = list_size (int_range 0 4) addr in
+     return
+       (mem_event ~cta ~bits
+          ~kind:(if store then Passes.Hooks.mem_kind_store else Passes.Hooks.mem_kind_load)
+          addrs))
+
+let qcheck_rd_matches_naive =
+  QCheck2.Test.make ~name:"reuse distance = naive per-CTA reference" ~count:100
+    gen_rd_events (fun events ->
+      let tr = Profiler.Tracebuf.of_events events in
+      List.for_all
+        (fun granularity ->
+          Analysis.Reuse_distance.of_trace ~granularity tr
+          = naive_reuse ~granularity events)
+        Analysis.Reuse_distance.[ Element; Cache_line 32; Cache_line 128 ])
+
 (* ----- memory divergence ----- *)
 
 let test_md_coalesced () =
@@ -172,10 +327,76 @@ let test_md_sites_ranking () =
   let events =
     [ ev loc1 (List.init 32 (fun i -> 4 * i)); ev loc2 (List.init 32 (fun i -> 512 * i)) ]
   in
-  let sites = Analysis.Mem_divergence.sites ~line_size:128 events in
+  let sites =
+    Analysis.Mem_divergence.sites_of_traces ~line_size:128
+      [ Profiler.Tracebuf.of_events events ]
+  in
   check_int "two sites" 2 (List.length sites);
   check "worst first" true
     ((List.hd sites).site_loc.Bitc.Loc.line = 2)
+
+(* Random traces for the site table: locations and CCT nodes from small
+   pools, so they repeat across traces and some first appear on an
+   event with no active lane; addresses on 128-byte line starts, so
+   average-line ties are common. *)
+let gen_site_traces =
+  let open QCheck2.Gen in
+  let event =
+    let* line = int_range 1 4 in
+    let* node = int_range 0 2 in
+    let* addrs = list_size (int_range 0 4) (map (fun k -> 128 * k) (int_range 0 3)) in
+    let loc = Bitc.Loc.make ~file:"a.cu" ~line ~col:1 in
+    return
+      ( { Gpusim.Hookev.kernel = "k"; cta = 0; warp = 0; loc; bits = 32;
+          kind = Passes.Hooks.mem_kind_load;
+          accesses = Array.of_list (List.mapi (fun l a -> (l, a)) addrs) },
+        node )
+  in
+  list_size (int_range 1 3) (list_size (int_range 0 20) event)
+
+(* The site table as the report built it over one trace of all the
+   events: keyed by the trace's own location ids, folded in hash-table
+   order, stably sorted.  Its tie order is part of the report's bytes. *)
+let reference_sites ~line_size tr =
+  let table = Hashtbl.create 64 in
+  Profiler.Tracebuf.iter tr (fun i ->
+      let n = Profiler.Tracebuf.acc_len tr i in
+      if n > 0 then begin
+        let width = max 1 (Profiler.Tracebuf.bits tr i / 8) in
+        let lines =
+          List.init n (fun j ->
+              let a = Profiler.Tracebuf.addr tr i j in
+              [ a / line_size; (a + width - 1) / line_size ])
+          |> List.concat |> List.sort_uniq compare |> List.length |> min 32
+        in
+        let key = (Profiler.Tracebuf.loc_id tr i, Profiler.Tracebuf.node tr i) in
+        match Hashtbl.find_opt table key with
+        | Some (count, sum) ->
+          incr count;
+          sum := !sum + lines
+        | None -> Hashtbl.replace table key (ref 1, ref lines)
+      end);
+  Hashtbl.fold
+    (fun (loc_id, node) (count, sum) acc ->
+      { Analysis.Mem_divergence.site_loc = Profiler.Tracebuf.loc_of_id tr loc_id;
+        site_node = node;
+        site_count = !count;
+        site_avg_lines = float_of_int !sum /. float_of_int !count }
+      :: acc)
+    table []
+  |> List.sort (fun (a : Analysis.Mem_divergence.site) b ->
+         compare b.site_avg_lines a.site_avg_lines)
+
+let qcheck_sites_of_traces =
+  QCheck2.Test.make ~name:"sites over traces = sites over their concatenation"
+    ~count:200 gen_site_traces (fun traces ->
+      let traces = List.map Profiler.Tracebuf.of_events traces in
+      let concat =
+        Profiler.Tracebuf.of_events (List.concat_map Profiler.Tracebuf.to_events traces)
+      in
+      let sites = Analysis.Mem_divergence.sites_of_traces ~line_size:128 traces in
+      sites = Analysis.Mem_divergence.sites_of_trace ~line_size:128 concat
+      && sites = reference_sites ~line_size:128 concat)
 
 let qcheck_md_degree_bounds =
   QCheck2.Test.make ~name:"divergence degree in [1, 32]" ~count:100
@@ -303,6 +524,29 @@ let test_report_structure () =
     (fun key -> check ("has " ^ key) true (Testutil.contains r key))
     [ "reuse_distance"; "memory_divergence"; "branch_divergence"; "contexts" ]
 
+(* The exact report's bytes, pinned by MD5 (digests taken before the
+   analyzer moved to flat int tables; any change to them is a change
+   to served profile bytes). *)
+let report_digests =
+  [ ("nn", "kepler", "65486def032043bb2bfc80c927ce8ef0");
+    ("nn", "pascal", "dda9b47177ac414882c8ad90feaa2a18");
+    ("bicg", "kepler", "81eefb7d5f8828ddbcc2daf6fcb1d4fe");
+    ("bicg", "pascal", "3475b673caa80817417fc8a7271ad70e");
+    ("bfs", "kepler", "03565cd9b67b8bfd98e3c62f961bd030");
+    ("bfs", "pascal", "df0ca467cbe44b86ecb10b98119ea1e2") ]
+
+let test_report_bytes (app, arch_name, digest) () =
+  let w = Workloads.Registry.find app in
+  let arch = Option.get (Gpusim.Arch.of_name arch_name) in
+  let session = Advisor.profile ~arch w in
+  let bytes =
+    Analysis.Report.of_profile ~app:w.Workloads.Common.name
+      ~arch_name:arch.Gpusim.Arch.name ~line_size:arch.Gpusim.Arch.line_size
+      session.Advisor.profiler
+    |> Analysis.Json.to_string
+  in
+  Alcotest.(check string) (app ^ "/" ^ arch_name) digest (Digest.to_hex (Digest.string bytes))
+
 (* ----- statistics ----- *)
 
 let test_statistics_summary () =
@@ -321,7 +565,9 @@ let test_statistics_empty () =
 let () =
   Alcotest.run "analysis"
     [
-      ("fenwick", [ QCheck_alcotest.to_alcotest qcheck_fenwick_matches_naive ]);
+      ( "fenwick",
+        [ QCheck_alcotest.to_alcotest qcheck_fenwick_matches_naive;
+          QCheck_alcotest.to_alcotest qcheck_fenwick_between ] );
       ( "reuse distance",
         [ Alcotest.test_case "paper example ABCCDEFAAAB" `Quick test_rd_paper_example;
           Alcotest.test_case "streaming" `Quick test_rd_streaming_is_all_infinite;
@@ -332,13 +578,16 @@ let () =
           Alcotest.test_case "merge" `Quick test_rd_merge;
           Alcotest.test_case "buckets" `Quick test_rd_buckets;
           QCheck_alcotest.to_alcotest qcheck_rd_sample_conservation;
-          QCheck_alcotest.to_alcotest qcheck_rd_write_only_no_samples_finite ] );
+          QCheck_alcotest.to_alcotest qcheck_rd_write_only_no_samples_finite;
+          Alcotest.test_case "large last-use table" `Quick test_rd_large_table;
+          QCheck_alcotest.to_alcotest qcheck_rd_matches_naive ] );
       ( "memory divergence",
         [ Alcotest.test_case "coalesced" `Quick test_md_coalesced;
           Alcotest.test_case "divergent" `Quick test_md_divergent;
           Alcotest.test_case "line size" `Quick test_md_line_size_matters;
           Alcotest.test_case "byte accesses" `Quick test_md_byte_accesses;
           Alcotest.test_case "site ranking" `Quick test_md_sites_ranking;
+          QCheck_alcotest.to_alcotest qcheck_sites_of_traces;
           QCheck_alcotest.to_alcotest qcheck_md_degree_bounds ] );
       ( "site reuse",
         [ Alcotest.test_case "streaming site" `Quick test_site_reuse_streaming_site;
@@ -352,6 +601,11 @@ let () =
       ( "report",
         [ Alcotest.test_case "json emitter" `Quick test_json_emitter;
           Alcotest.test_case "report structure" `Quick test_report_structure ] );
+      ( "report bytes",
+        List.map
+          (fun ((app, arch, _) as pin) ->
+            Alcotest.test_case (app ^ " " ^ arch) `Quick (test_report_bytes pin))
+          report_digests );
       ( "statistics",
         [ Alcotest.test_case "summary" `Quick test_statistics_summary;
           Alcotest.test_case "empty" `Quick test_statistics_empty ] );

@@ -464,6 +464,35 @@ let test_warpid_sreg () =
   check "rewritten kernel still correct" true
     (Gpusim.Devmem.read_i32_array dev.devmem d 96 = Array.init 96 Fun.id)
 
+(* ----- scheduler counters ----- *)
+
+(* Heap pops and operand requeues summed over a run's launches. *)
+let sched_counts host =
+  List.fold_left
+    (fun (pops, requeues) (_, (r : Gpusim.Gpu.result)) ->
+      (pops + r.stats.Gpusim.Stats.sched_pops, requeues + r.stats.Gpusim.Stats.requeues))
+    (0, 0) (Hostrt.Host.launches host)
+
+(* The counters are exact: two runs of one workload repeat them.  A
+   native run pops the heap about once per step; a profiled run's
+   serialized hook cost lets the popped warp keep running, so it pops
+   less often. *)
+let test_sched_counters () =
+  let arch = Gpusim.Arch.kepler_k40c () in
+  let w = Workloads.Registry.find "hotspot" in
+  let native () = sched_counts (snd (Advisor.run_native ~arch w)) in
+  let profiled () = sched_counts (Advisor.profile ~arch w).Advisor.host in
+  let n1 = native () and n2 = native () in
+  let p1 = profiled () and p2 = profiled () in
+  let pair = Alcotest.(pair int int) in
+  Alcotest.check pair "native repeats" n1 n2;
+  Alcotest.check pair "profiled repeats" p1 p2;
+  Alcotest.(check bool) "requeues counted" true (snd n1 > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "native pops %d > profiled pops %d" (fst n1) (fst p1))
+    true
+    (fst n1 > fst p1)
+
 let () =
   Alcotest.run "gpusim"
     [
@@ -505,4 +534,5 @@ let () =
       ( "timing",
         [ Alcotest.test_case "monotonic in work" `Quick test_timing_monotonic_with_work;
           Alcotest.test_case "l1 toggle" `Quick test_l1_disabled_more_l2_traffic ] );
+      ("scheduler", [ Alcotest.test_case "counters" `Quick test_sched_counters ]);
     ]
