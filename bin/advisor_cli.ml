@@ -725,8 +725,7 @@ let trace_cmd =
 (* ----- serve (long-lived batch-profiling daemon) ----- *)
 
 let serve_run finish socket stdio workers queue_cap timeout_ms no_cache
-    cache_entries cache_mb cache_dir trace_dir metrics_addr access_log
-    access_log_sample =
+    cache_entries cache_mb cache_dir metrics_addr access_log =
   let cache =
     if no_cache then None
     else
@@ -746,10 +745,8 @@ let serve_run finish socket stdio workers queue_cap timeout_ms no_cache
       queue_cap;
       default_timeout_ms = (if timeout_ms <= 0 then None else Some timeout_ms);
       cache;
-      trace_dir;
       metrics_addr;
       access_log;
-      access_log_sample;
     }
   in
   match
@@ -840,16 +837,6 @@ let serve_cmd =
                 restarts; reloaded (newest first, within the configured \
                 bounds) on startup.")
   in
-  let trace_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-dir" ] ~docv:"DIR"
-          ~doc:"Write one span record per traced request phase to \
-                $(docv)/spans-<pid>.ndjson (created if missing); \
-                $(b,advisor trace-merge) $(docv) turns them into a Chrome \
-                trace.")
-  in
   let metrics_addr_arg =
     Arg.(
       value
@@ -866,17 +853,10 @@ let serve_cmd =
           ~doc:"Append one NDJSON line per finished request (op, tier, cache \
                 disposition, queue wait, latency, outcome) to $(docv).")
   in
-  let access_log_sample_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "access-log-sample" ] ~docv:"N"
-          ~doc:"Write every $(docv)-th access-log entry (1 = all); skipped \
-                entries are counted in serve.access_log.sampled_out.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Long-lived batch-profiling daemon: accepts newline-delimited JSON \
-             requests (profile, check, bypass, trace, compile, ...) over \
+             requests (profile, check, bypass, evaluate, compile, ...) over \
              stdin/stdout and an optional Unix-domain socket, runs them \
              concurrently on a bounded queue, and answers with JSON responses \
              carrying the request id.  Deterministic results are served from a \
@@ -886,62 +866,8 @@ let serve_cmd =
       ret
         (const serve_run $ obs_term $ socket_arg $ stdio_flag $ workers_arg
         $ queue_arg $ timeout_arg $ no_cache_flag
-        $ cache_entries_arg $ cache_mb_arg $ cache_dir_arg $ trace_dir_arg
-        $ metrics_addr_arg $ access_log_arg $ access_log_sample_arg))
-
-(* ----- trace-merge (join per-process span files into one Chrome trace) ----- *)
-
-let trace_merge_run dir out trace_id =
-  match Obs.Tracemerge.merge ?trace_id ~dir () with
-  | exception Sys_error msg -> `Error (false, msg)
-  | m ->
-    let out =
-      Option.value out ~default:(Filename.concat dir "trace-merged.json")
-    in
-    let oc = open_out out in
-    output_string oc m.Obs.Tracemerge.json;
-    close_out oc;
-    Printf.printf
-      "merged %d span(s) from %d file(s) across %d process group(s) into %s\n"
-      m.Obs.Tracemerge.records m.Obs.Tracemerge.files
-      (List.length m.Obs.Tracemerge.procs)
-      out;
-    if m.Obs.Tracemerge.skipped > 0 then
-      Printf.printf "skipped %d malformed or filtered line(s)\n"
-        m.Obs.Tracemerge.skipped;
-    List.iter (fun p -> Printf.printf "  process: %s\n" p)
-      m.Obs.Tracemerge.procs;
-    `Ok ()
-
-let trace_merge_cmd =
-  let dir_arg =
-    Arg.(
-      required
-      & pos 0 (some dir) None
-      & info [] ~docv:"DIR"
-          ~doc:"Span directory written by $(b,advisor serve --trace-dir).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:"Output file (default: $(i,DIR)/trace-merged.json).")
-  in
-  let id_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "id" ] ~docv:"TRACE_ID"
-          ~doc:"Keep only spans belonging to this trace id (default: all).")
-  in
-  Cmd.v
-    (Cmd.info "trace-merge"
-       ~doc:"Merge the per-process span files under a $(b,--trace-dir) \
-             directory into a single Chrome trace (chrome://tracing, \
-             ui.perfetto.dev) with one process group per daemon role (intake, \
-             worker), linked by trace id.")
-    Term.(ret (const trace_merge_run $ dir_arg $ out_arg $ id_arg))
+        $ cache_entries_arg $ cache_mb_arg $ cache_dir_arg $ metrics_addr_arg
+        $ access_log_arg))
 
 (* ----- top (live daemon dashboard) ----- *)
 
@@ -997,4 +923,4 @@ let () =
        (Cmd.group info
           [ list_cmd; profile_cmd; report_cmd; check_cmd; bypass_cmd;
             evaluate_cmd; overhead_cmd; trace_cmd; dump_ir_cmd; dump_ptx_cmd;
-            serve_cmd; trace_merge_cmd; top_cmd ]))
+            serve_cmd; top_cmd ]))

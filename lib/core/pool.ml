@@ -92,12 +92,7 @@ let map ?domains f xs =
     let errors = Array.make n None in
     let next = Atomic.make 0 in
     let submitted = Obs.Clock.now_ns () in
-    (* Distributed-trace context is per-domain; capture the caller's so
-       spans recorded inside worker domains keep the request's id. *)
-    let ctx = Obs.Trace.current_context () in
     let work () =
-      if ctx <> None && Obs.Trace.current_context () = None then
-        Obs.Trace.set_context ctx;
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin

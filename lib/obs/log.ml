@@ -44,71 +44,10 @@ let set_level l = Atomic.set current l
 let level () = Atomic.get current
 let enabled l = level_rank l >= level_rank (Atomic.get current)
 
-(* ----- output format ----- *)
-
-(* Text (the default, human-oriented) or one JSON object per line for
-   machine-parseable daemon logs; selected by OBS_LOG_FORMAT=json or
-   [set_format]. *)
-type format = Text | Json
-
-let format_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "json" -> Ok Json
-  | "text" -> Ok Text
-  | other -> Error (Printf.sprintf "unknown log format %S" other)
-
-let default_format () =
-  match Sys.getenv_opt "OBS_LOG_FORMAT" with
-  | None -> Text
-  | Some s -> (
-    match format_of_string s with
-    | Ok f -> f
-    | Error _ ->
-      Printf.eprintf "obs: ignoring invalid OBS_LOG_FORMAT=%S\n%!" s;
-      Text)
-
-let current_format = Atomic.make (default_format ())
-
-let set_format f = Atomic.set current_format f
-let format () = Atomic.get current_format
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* One formatted line, without the trailing newline; pure so the
-   formats are unit-testable without capturing stderr. *)
-let render ~format ~t ~lvl ~component ~msg ~kv =
-  match format with
-  | Text ->
-    let suffix =
-      String.concat ""
-        (List.map (fun (k, v) -> Printf.sprintf " %s=%s" k v) kv)
-    in
-    Printf.sprintf "[%8.3fs] %-5s %s: %s%s" t (level_name lvl) component msg
-      suffix
-  | Json ->
-    let buf = Buffer.create 128 in
-    Printf.bprintf buf "{\"ts\":%.3f,\"level\":\"%s\",\"component\":\"%s\",\"msg\":\"%s\""
-      t (level_name lvl) (json_escape component) (json_escape msg);
-    List.iter
-      (fun (k, v) ->
-        Printf.bprintf buf ",\"%s\":\"%s\"" (json_escape k) (json_escape v))
-      kv;
-    Buffer.add_char buf '}';
-    Buffer.contents buf
+   format is unit-testable without capturing stderr. *)
+let render ~t ~lvl ~component ~msg =
+  Printf.sprintf "[%8.3fs] %-5s %s: %s" t (level_name lvl) component msg
 
 let messages_debug = Metrics.counter "log.messages.debug"
 let messages_info = Metrics.counter "log.messages.info"
@@ -124,13 +63,11 @@ let message_counter = function
 
 let out_mutex = Mutex.create ()
 
-let emit ?(kv = []) lvl component msg =
+let emit lvl component msg =
   Metrics.incr (message_counter lvl);
   if enabled lvl then begin
     let t = float_of_int (Clock.elapsed_ns ()) /. 1e9 in
-    let line =
-      render ~format:(Atomic.get current_format) ~t ~lvl ~component ~msg ~kv
-    in
+    let line = render ~t ~lvl ~component ~msg in
     Mutex.protect out_mutex (fun () -> Printf.eprintf "%s\n%!" line)
   end
 
@@ -142,11 +79,3 @@ let debug component fmt = logf Debug component fmt
 let info component fmt = logf Info component fmt
 let warn component fmt = logf Warn component fmt
 let error component fmt = logf Error component fmt
-
-(* Key/value variants for structured daemon logs: the pairs render as
-   [k=v] suffixes in text and as extra string fields in JSON. *)
-let logf_kv lvl component ~kv fmt = Printf.ksprintf (emit ~kv lvl component) fmt
-let debug_kv component ~kv fmt = logf_kv Debug component ~kv fmt
-let info_kv component ~kv fmt = logf_kv Info component ~kv fmt
-let warn_kv component ~kv fmt = logf_kv Warn component ~kv fmt
-let error_kv component ~kv fmt = logf_kv Error component ~kv fmt

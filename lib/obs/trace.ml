@@ -25,100 +25,6 @@ let enabled () = Atomic.get enabled_flag
 let enable () = Atomic.set enabled_flag true
 let disable () = Atomic.set enabled_flag false
 
-(* ----- logical process / domain labels ----- *)
-
-(* A serve daemon runs several domains (intake, workers).  Span records
-   written to the sink below carry a logical process label so a merged
-   trace can group work by role rather than by bare pid.  The
-   process-wide label is set once at daemon startup ([set_proc_label]);
-   a long-lived worker domain can override it for itself
-   ([set_domain_label]).  Without either, the label is "pid-<pid>". *)
-let proc_label = Atomic.make ""
-let set_proc_label s = Atomic.set proc_label s
-
-let domain_label_key : string option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let set_domain_label s = Domain.DLS.set domain_label_key (Some s)
-
-let effective_label () =
-  match Domain.DLS.get domain_label_key with
-  | Some s -> s
-  | None -> (
-    match Atomic.get proc_label with
-    | "" -> Printf.sprintf "pid-%d" (Unix.getpid ())
-    | s -> s)
-
-(* ----- distributed trace context ----- *)
-
-(* A per-domain trace context carries the request's [trace_id] and the
-   name of the innermost open span (the parent of the next span).  It
-   is installed by [with_context] around request handling and read by
-   [with_span] to emit one flat span record per completed span into the
-   sink.  Contexts only matter when a sink is installed, so the common
-   disabled path stays two atomic loads. *)
-type ctx = { trace_id : string; parent : string }
-
-let ctx_key : ctx option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let current_trace_id () =
-  match Domain.DLS.get ctx_key with Some c -> Some c.trace_id | None -> None
-
-let current_context () = Domain.DLS.get ctx_key
-let set_context c = Domain.DLS.set ctx_key c
-
-(* One completed span, flattened for cross-process merging: the
-   Chrome-style B/E pairing is an in-process convenience; processes
-   exchange (trace, parent, name, start, duration) records instead. *)
-type span_record = {
-  sr_trace : string;
-  sr_parent : string; (* "" at the root of this process's subtree *)
-  sr_name : string;
-  sr_cat : string;
-  sr_start_ns : int;
-  sr_dur_ns : int;
-  sr_pid : int;
-  sr_dom : int;
-  sr_proc : string; (* logical process label, e.g. "serve/worker" *)
-}
-
-let sink : (span_record -> unit) option Atomic.t = Atomic.make None
-
-let set_sink f = Atomic.set sink (Some f)
-let clear_sink () = Atomic.set sink None
-let sink_active () = Atomic.get sink <> None
-
-(* Emit one span record directly, for a span measured by hand rather
-   than by nesting [with_span] (a job's queue wait, a cache probe).  A
-   no-op without a sink. *)
-let record_span ~trace_id ?(parent = "") ?(cat = "") ~name ~start_ns ~dur_ns ()
-    =
-  match Atomic.get sink with
-  | None -> ()
-  | Some f ->
-    f
-      {
-        sr_trace = trace_id;
-        sr_parent = parent;
-        sr_name = name;
-        sr_cat = cat;
-        sr_start_ns = start_ns;
-        sr_dur_ns = dur_ns;
-        sr_pid = Unix.getpid ();
-        sr_dom = (Domain.self () :> int);
-        sr_proc = effective_label ();
-      }
-
-(* Run [f] with [trace_id] installed as this domain's trace context;
-   spans recorded inside land in the sink stamped with the id.
-   [parent] names the caller's span in another process (from the
-   request envelope's [parent_span]) so merged traces link across the
-   process boundary. *)
-let with_context ~trace_id ?(parent = "") f =
-  let old = Domain.DLS.get ctx_key in
-  Domain.DLS.set ctx_key (Some { trace_id; parent });
-  Fun.protect ~finally:(fun () -> Domain.DLS.set ctx_key old) f
-
 (* Event kinds, Chrome "ph" phases: B(egin), E(nd), C(ounter),
    I(nstant). *)
 type kind = Begin | End | Counter | Instant
@@ -198,40 +104,16 @@ let append b ~force kind name cat ts value =
 (* ----- recording API ----- *)
 
 (* [with_span "compile" f] brackets [f] with a B/E pair on the calling
-   domain's buffer; a no-op (two atomic loads) when both tracing and
-   the span sink are off.  With a sink and a trace context installed,
-   the completed span is additionally emitted as a flat record with the
-   enclosing span as its parent. *)
+   domain's buffer; a no-op (one atomic load) when tracing is off. *)
 let with_span ?(cat = "") name f =
-  let enabled = Atomic.get enabled_flag in
-  let ctx =
-    match Atomic.get sink with None -> None | Some _ -> Domain.DLS.get ctx_key
-  in
-  if (not enabled) && ctx = None then f ()
+  if not (Atomic.get enabled_flag) then f ()
   else begin
-    let t0 = Clock.now_ns () in
-    let b = if enabled then Some (my_buf ()) else None in
-    let recorded =
-      match b with
-      | Some b -> append b ~force:false Begin name cat t0 0.
-      | None -> false
-    in
-    (* Children opened inside [f] see this span as their parent. *)
-    (match ctx with
-    | Some c -> Domain.DLS.set ctx_key (Some { c with parent = name })
-    | None -> ());
+    let b = my_buf () in
+    let recorded = append b ~force:false Begin name cat (Clock.now_ns ()) 0. in
     Fun.protect
       ~finally:(fun () ->
-        let t1 = Clock.now_ns () in
-        (match b with
-        | Some b when recorded -> ignore (append b ~force:true End name cat t1 0.)
-        | _ -> ());
-        match ctx with
-        | Some c ->
-          Domain.DLS.set ctx_key ctx;
-          record_span ~trace_id:c.trace_id ~parent:c.parent ~cat ~name
-            ~start_ns:t0 ~dur_ns:(t1 - t0) ()
-        | None -> ())
+        if recorded then
+          ignore (append b ~force:true End name cat (Clock.now_ns ()) 0.))
       f
   end
 
@@ -279,49 +161,6 @@ let escape s =
     s;
   Buffer.contents buf
 
-(* ----- NDJSON span-record sink (`advisor serve --trace-dir`) ----- *)
-
-(* Each daemon process appends its span records to its own
-   [spans-<pid>.ndjson] under the directory; `advisor trace-merge`
-   turns them into one Chrome trace afterwards.  One line per record,
-   flushed immediately so records survive the daemon being killed;
-   writes serialize on a mutex (a request emits a handful of spans, each
-   tens of bytes). *)
-let dir_sink_mutex = Mutex.create ()
-let dir_sink_oc : out_channel option ref = ref None
-
-let span_record_to_json r =
-  Printf.sprintf
-    "{\"trace\":\"%s\",\"parent\":\"%s\",\"name\":\"%s\",\"cat\":\"%s\",\"ts\":%d,\"dur\":%d,\"pid\":%d,\"dom\":%d,\"proc\":\"%s\"}"
-    (escape r.sr_trace) (escape r.sr_parent) (escape r.sr_name)
-    (escape r.sr_cat) r.sr_start_ns r.sr_dur_ns r.sr_pid r.sr_dom
-    (escape r.sr_proc)
-
-let open_dir_sink dir =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let file =
-    Filename.concat dir (Printf.sprintf "spans-%d.ndjson" (Unix.getpid ()))
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
-  Mutex.protect dir_sink_mutex (fun () -> dir_sink_oc := Some oc);
-  set_sink (fun r ->
-      Mutex.protect dir_sink_mutex (fun () ->
-          match !dir_sink_oc with
-          | Some oc ->
-            output_string oc (span_record_to_json r);
-            output_char oc '\n';
-            flush oc
-          | None -> ()))
-
-let close_dir_sink () =
-  clear_sink ();
-  Mutex.protect dir_sink_mutex (fun () ->
-      match !dir_sink_oc with
-      | Some oc ->
-        dir_sink_oc := None;
-        close_out_noerr oc
-      | None -> ())
-
 let write_event out ~pid b i =
   let ph =
     match b.kinds.(i) with
@@ -356,12 +195,12 @@ let export_chrome () =
     if !first then first := false else Buffer.add_string out ",\n";
     f ()
   in
-  (* Name metadata ("ph":"M") so about:tracing shows the process role
-     and domain numbers instead of bare ids. *)
+  (* Name metadata ("ph":"M") so about:tracing shows the process and
+     domain numbers instead of bare ids. *)
   emit (fun () ->
       Printf.bprintf out
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"%s\"}}"
-        pid (escape (effective_label ())));
+        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"args\":{\"name\":\"advisor\"}}"
+        pid);
   List.iter
     (fun b ->
       emit (fun () ->

@@ -1,5 +1,5 @@
-(* Metrics snapshot <-> JSON encodings of the `metrics`, `metrics_raw`
-   and `metrics_text` ops.
+(* Metrics snapshot <-> JSON encodings of the `metrics` and
+   `metrics_raw` ops.
 
    Two shapes:
    - [snapshot_json]: the flat, human-oriented `metrics` result —
@@ -140,10 +140,3 @@ let of_raw (v : Jsonv.t) : (string * Metrics.value) list =
   List.sort
     (fun (a, _) (b, _) -> String.compare a b)
     (counters @ gauges @ hists)
-
-(* The `metrics_text` result: Prometheus exposition wrapped in JSON so
-   it still fits the one-line NDJSON envelope. *)
-let text_json snap =
-  Json.Obj
-    [ ("format", Json.String "prometheus-0.0.4");
-      ("text", Json.String (Metrics.to_prometheus ~snap ())) ]

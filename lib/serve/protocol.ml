@@ -42,12 +42,9 @@ type request = {
   instrument : string option; (* compile op: none|profile|check|all *)
   tier : string option; (* profile op: exact|static answer tier *)
   bankmodel : bool option; (* profile op: charge bank-conflict replays *)
-  out : string option; (* trace op: Chrome-trace output path *)
   ms : int option; (* sleep op *)
   variants : variant list option; (* evaluate op: the batch *)
   baseline : string option; (* evaluate op: baseline variant name *)
-  trace_id : string option; (* distributed-trace id, propagated downstream *)
-  parent_span : string option; (* caller's span name, for cross-process links *)
 }
 
 (* Parsed values echo back through the response encoder, so convert the
@@ -143,12 +140,9 @@ let parse_request line : (request, Json.t * string * string) result =
       let* instrument = str_field obj "instrument" in
       let* tier = str_field obj "tier" in
       let* bankmodel = bool_field obj "bankmodel" in
-      let* out = str_field obj "out" in
       let* ms = int_field obj "ms" in
       let* variants = variants_field obj in
       let* baseline = str_field obj "baseline" in
-      let* trace_id = str_field obj "trace_id" in
-      let* parent_span = str_field obj "parent_span" in
       Ok
         {
           id;
@@ -161,12 +155,9 @@ let parse_request line : (request, Json.t * string * string) result =
           instrument;
           tier;
           bankmodel;
-          out;
           ms;
           variants;
           baseline;
-          trace_id;
-          parent_span;
         }
     in
     match fields with

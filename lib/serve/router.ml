@@ -11,14 +11,12 @@ module Json = Analysis.Json
 type outcome = (Json.t, string * string) result (* error = (code, message) *)
 
 let known_ops =
-  [ "ping"; "list"; "metrics"; "metrics_raw"; "metrics_text"; "sleep";
-    "compile"; "profile"; "profile_fast"; "check"; "bypass"; "evaluate";
-    "trace" ]
+  [ "ping"; "list"; "metrics"; "metrics_raw"; "sleep"; "compile"; "profile";
+    "profile_fast"; "check"; "bypass"; "evaluate" ]
 
 let needs_app op =
   List.mem op
-    [ "compile"; "profile"; "profile_fast"; "check"; "bypass"; "evaluate";
-      "trace" ]
+    [ "compile"; "profile"; "profile_fast"; "check"; "bypass"; "evaluate" ]
 
 (* Static-tier requests are answered by the IR-only estimator — no
    simulator launch, cheap enough for the intake domain.  [profile_fast]
@@ -201,7 +199,6 @@ let list_apps () =
 
 let metrics () = Ok (Metricsenc.snapshot_json (Obs.Metrics.snapshot ()))
 let metrics_raw () = Ok (Metricsenc.raw_json (Obs.Metrics.snapshot ()))
-let metrics_text () = Ok (Metricsenc.text_json (Obs.Metrics.snapshot ()))
 
 (* Diagnostic op: busy-wait politely for [ms], polling the same
    cancellation check the simulator does — exercising queueing,
@@ -325,32 +322,6 @@ let evaluate ?cache (r : Protocol.request) =
     (Tune.Evaluate.run_batch ~domains ?lookup ?store ?scale:r.scale ~baseline
        ~arch w specs)
 
-(* Self-profiling run: turn tracing on (process-wide — spans from
-   concurrent requests share the buffers), profile the app with the
-   standard analyses, optionally export the accumulated Chrome trace. *)
-let trace (r : Protocol.request) =
-  let ( let* ) = Result.bind in
-  let* w = resolve_app r in
-  let* arch = resolve_arch r in
-  Obs.Trace.enable ();
-  let session = Advisor.profile ~arch ?scale:r.scale w in
-  ignore (Advisor.reuse_distance session);
-  ignore (Advisor.mem_divergence session);
-  ignore (Advisor.branch_divergence session);
-  let out_field =
-    match r.out with
-    | None -> []
-    | Some file ->
-      Obs.Trace.export_chrome_to_file file;
-      [ ("out", Json.String file) ]
-  in
-  Ok
-    (Json.Obj
-       ([ ("app", Json.String w.Workloads.Common.name);
-          ("span_events", Json.Int (Obs.Trace.event_count ()));
-          ("dropped", Json.Int (Obs.Trace.dropped_count ())) ]
-       @ out_field))
-
 (* [cache] is the server's result cache, used only by ops that manage
    sub-entries themselves (evaluate); whole-result caching of the other
    ops stays in the server's intake/completion path. *)
@@ -362,12 +333,10 @@ let dispatch ?cache (r : Protocol.request) : outcome =
     | "list" -> list_apps ()
     | "metrics" -> metrics ()
     | "metrics_raw" -> metrics_raw ()
-    | "metrics_text" -> metrics_text ()
     | "sleep" -> sleep r
     | "compile" -> compile r
     | "profile" -> profile r
     | "check" -> check r
     | "bypass" -> bypass r
     | "evaluate" -> evaluate ?cache r
-    | "trace" -> trace r
     | op -> Error ("unknown_op", Printf.sprintf "unknown op %S" op)

@@ -34,10 +34,8 @@ type config = {
   queue_cap : int;
   default_timeout_ms : int option; (* None/0 = no per-request deadline *)
   cache : Rescache.config option; (* None = result caching off *)
-  trace_dir : string option; (* write per-request span records here *)
   metrics_addr : string option; (* host:port for Prometheus exposition *)
   access_log : string option; (* NDJSON access log path *)
-  access_log_sample : int; (* write every n-th access-log entry *)
 }
 
 let default_config =
@@ -48,15 +46,9 @@ let default_config =
     queue_cap = 64;
     default_timeout_ms = Some 300_000;
     cache = Some Rescache.default_config;
-    trace_dir = None;
     metrics_addr = None;
     access_log = None;
-    access_log_sample = 1;
   }
-
-(* Logical process label in span records and access-log lines; worker
-   domains record as [proc_label ^ "/worker"]. *)
-let proc_label = "serve"
 
 (* ----- metrics ----- *)
 
@@ -97,7 +89,6 @@ type job = {
   conn : conn;
   enq_ns : int;
   cache_key : string option; (* store the result here after a miss *)
-  trace : string option; (* distributed-trace id when a sink is active *)
 }
 
 type t = {
@@ -114,21 +105,10 @@ let create cfg =
     cfg;
     queue = Jobq.create ~cap:cfg.queue_cap;
     cache = Option.map Rescache.create cfg.cache;
-    access =
-      Option.map
-        (fun path -> Accesslog.create ~path ~sample:cfg.access_log_sample)
-        cfg.access_log;
+    access = Option.map (fun path -> Accesslog.create ~path) cfg.access_log;
     stop = Atomic.make false;
     inline = false;
   }
-
-(* Trace ids minted at intake when the client did not send one;
-   pid-qualified so ids from daemons sharing a trace directory never
-   collide. *)
-let trace_seq = Atomic.make 0
-
-let gen_trace_id () =
-  Printf.sprintf "t-%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add trace_seq 1)
 
 (* Domain- and signal-safe: flips one atomic the select loop polls. *)
 let request_shutdown t = Atomic.set t.stop true
@@ -166,8 +146,7 @@ let request_tier (req : Protocol.request) =
    an access-log line is written.  Rejected requests (parse/validate
    failures, backpressure) go through [reject_entry] instead so the
    latency histograms only describe work the daemon actually did. *)
-let account t ~(req : Protocol.request) ~outcome ~cache ~wait_ns ~run_ns
-    ~trace_id =
+let account t ~(req : Protocol.request) ~outcome ~cache ~wait_ns ~run_ns =
   let cls = Router.op_class req in
   let total_ns = wait_ns + run_ns in
   Obs.Metrics.observe (Obs.Metrics.histogram ("serve.op." ^ cls ^ ".ns")) total_ns;
@@ -175,17 +154,17 @@ let account t ~(req : Protocol.request) ~outcome ~cache ~wait_ns ~run_ns
   match t.access with
   | None -> ()
   | Some al ->
-    Accesslog.log al ~proc:proc_label ~id:req.Protocol.id ~op:req.Protocol.op
+    Accesslog.log al ~id:req.Protocol.id ~op:req.Protocol.op
       ~app:(Option.value req.Protocol.app ~default:"")
       ~arch:req.Protocol.arch_name ~tier:(request_tier req) ~cache ~outcome
-      ~wait_ns ~run_ns ?trace_id ()
+      ~wait_ns ~run_ns
 
 let reject_entry t ~id ~op ~outcome =
   match t.access with
   | None -> ()
   | Some al ->
-    Accesslog.log al ~proc:proc_label ~id ~op ~app:"" ~arch:"" ~tier:""
-      ~cache:"" ~outcome ~wait_ns:0 ~run_ns:0 ()
+    Accesslog.log al ~id ~op ~app:"" ~arch:"" ~tier:"" ~cache:"" ~outcome
+      ~wait_ns:0 ~run_ns:0
 
 (* ----- job execution (worker domains) ----- *)
 
@@ -194,11 +173,6 @@ let run_job t job =
   let started = Obs.Clock.now_ns () in
   let wait_ns = started - job.enq_ns in
   Obs.Metrics.observe m_wait wait_ns;
-  (match job.trace with
-  | Some tid ->
-    Obs.Trace.record_span ~trace_id:tid ~parent:"serve:intake" ~cat:"serve"
-      ~name:"serve:queue" ~start_ns:job.enq_ns ~dur_ns:wait_ns ()
-  | None -> ());
   let timeout_ms =
     match job.req.Protocol.timeout_ms with
     | Some ms -> Some ms
@@ -245,26 +219,15 @@ let run_job t job =
              (Printexc.to_string e)),
         "failed" )
   in
-  let traced () =
-    Obs.Trace.with_span ~cat:"serve" ("serve:" ^ op) dispatch
-  in
-  let line, outcome =
-    match job.trace with
-    | Some tid ->
-      (* workers run on their own domains; reinstall the request's
-         context so spans recorded inside keep the trace id *)
-      Obs.Trace.with_context ~trace_id:tid ~parent:"serve:queue" traced
-    | None -> traced ()
-  in
+  let line, outcome = Obs.Trace.with_span ~cat:"serve" ("serve:" ^ op) dispatch in
   let run_ns = Obs.Clock.now_ns () - started in
   Obs.Metrics.observe m_run run_ns;
   account t ~req:job.req ~outcome
     ~cache:(if job.cache_key <> None then "miss" else "")
-    ~wait_ns ~run_ns ~trace_id:job.trace;
+    ~wait_ns ~run_ns;
   reply job.conn line
 
 let worker_loop t =
-  Obs.Trace.set_domain_label (proc_label ^ "/worker");
   let rec go () =
     match Jobq.pop t.queue with
     | None -> ()
@@ -278,11 +241,10 @@ let worker_loop t =
 
 (* Hand a validated request to the worker queue (the caller has already
    bumped [inflight]); a full or closing queue answers immediately. *)
-let enqueue t conn req cache_key trace =
+let enqueue t conn req cache_key =
   let id = req.Protocol.id and op = req.Protocol.op in
   match
-    Jobq.try_push t.queue
-      { req; conn; enq_ns = Obs.Clock.now_ns (); cache_key; trace }
+    Jobq.try_push t.queue { req; conn; enq_ns = Obs.Clock.now_ns (); cache_key }
   with
   | `Ok ->
     Obs.Metrics.set_gauge m_depth (float_of_int (Jobq.length t.queue));
@@ -321,18 +283,6 @@ let handle_line t conn line =
       write_line conn (Protocol.to_line (Protocol.error_response ~id ~op:"?" ~code msg))
     | Ok req ->
       let id = req.Protocol.id and op = req.Protocol.op in
-      (* Distributed tracing: only when a span sink is installed
-         (--trace-dir).  The client's id is honored, otherwise one is
-         minted here; the context makes every span recorded while
-         handling this request carry it. *)
-      let trace =
-        if not (Obs.Trace.sink_active ()) then None
-        else
-          Some
-            (match req.Protocol.trace_id with
-            | Some tid -> tid
-            | None -> gen_trace_id ())
-      in
       let process () =
         match Router.validate req with
         | Error (code, msg) ->
@@ -351,22 +301,11 @@ let handle_line t conn line =
           | Some cache, Some key -> Rescache.find cache key
           | _ -> None
         in
-        (match (trace, cache_key) with
-        | Some tid, Some _ ->
-          Obs.Trace.record_span ~trace_id:tid ~parent:"serve:intake"
-            ~cat:"serve"
-            ~name:
-              (if cached = None then "serve:cache:miss" else "serve:cache:hit")
-            ~start_ns:probe_start
-            ~dur_ns:(Obs.Clock.now_ns () - probe_start)
-            ()
-        | _ -> ());
         match cached with
         | Some raw ->
           Obs.Metrics.incr m_ok;
           account t ~req ~outcome:"ok" ~cache:"hit" ~wait_ns:0
-            ~run_ns:(Obs.Clock.now_ns () - probe_start)
-            ~trace_id:trace;
+            ~run_ns:(Obs.Clock.now_ns () - probe_start);
           write_line conn (Protocol.ok_line_raw ~id ~op raw)
         | None when Router.is_static req -> (
           (* The static tier never touches the simulator: answer right
@@ -390,32 +329,25 @@ let handle_line t conn line =
             account t ~req ~outcome:"ok"
               ~cache:(if cache_key <> None then "miss" else "")
               ~wait_ns:0
-              ~run_ns:(Obs.Clock.now_ns () - started)
-              ~trace_id:trace;
+              ~run_ns:(Obs.Clock.now_ns () - started);
             write_line conn (Protocol.ok_line_raw ~id ~op raw)
           | Error (code, msg) ->
             Obs.Metrics.incr m_failed;
             account t ~req ~outcome:code
               ~cache:(if cache_key <> None then "miss" else "")
               ~wait_ns:0
-              ~run_ns:(Obs.Clock.now_ns () - started)
-              ~trace_id:trace;
+              ~run_ns:(Obs.Clock.now_ns () - started);
             write_line conn
               (Protocol.to_line (Protocol.error_response ~id ~op ~code msg))
           | exception _ ->
             Obs.Metrics.incr m_static_fallbacks;
             ignore (Atomic.fetch_and_add conn.inflight 1);
-            enqueue t conn req cache_key trace)
+            enqueue t conn req cache_key)
         | None ->
           ignore (Atomic.fetch_and_add conn.inflight 1);
-          enqueue t conn req cache_key trace)
+          enqueue t conn req cache_key)
       in
-      (match trace with
-      | Some tid ->
-        Obs.Trace.with_context ~trace_id:tid
-          ~parent:(Option.value req.Protocol.parent_span ~default:"")
-          (fun () -> Obs.Trace.with_span ~cat:"serve" "serve:intake" process)
-      | None -> process ())
+      Obs.Trace.with_span ~cat:"serve" "serve:intake" process
   end
 
 let read_conn t conn =
@@ -559,8 +491,6 @@ let answer_scrape listen_fd body =
 
 let run t =
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  Obs.Trace.set_proc_label proc_label;
-  Option.iter Obs.Trace.open_dir_sink t.cfg.trace_dir;
   let listen_fd = Option.map setup_listener t.cfg.socket_path in
   let metrics_fd = Option.map setup_metrics_listener t.cfg.metrics_addr in
   let conns = ref [] in
@@ -658,6 +588,5 @@ let run t =
       | `Socket -> ( try Unix.close c.in_fd with Unix.Unix_error _ -> ()))
     !conns;
   Option.iter Accesslog.close t.access;
-  if t.cfg.trace_dir <> None then Obs.Trace.close_dir_sink ();
   Obs.Log.info "serve" "shut down cleanly (drained %d queued job%s)" drained
     (if drained = 1 then "" else "s")

@@ -23,13 +23,11 @@ let default_targets_ms =
     ("list", 50);
     ("metrics", 500);
     ("metrics_raw", 500);
-    ("metrics_text", 500);
     ("profile_fast", 250);
     ("compile", 60_000);
     ("profile", 120_000);
     ("check", 180_000);
-    ("bypass", 300_000);
-    ("trace", 300_000) ]
+    ("bypass", 300_000) ]
 
 let target_ms op = List.assoc_opt op default_targets_ms
 

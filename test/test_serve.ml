@@ -20,7 +20,7 @@ let check_string = Alcotest.(check string)
 
 let test_parse_ok () =
   let line =
-    {|{"id": 7, "op": "profile", "app": "nn", "arch": "pascal", "scale": 2, "timeout_ms": 500, "domains": 3, "instrument": "all", "out": "/tmp/t.json", "ms": 10, "future_field": [1, 2]}|}
+    {|{"id": 7, "op": "profile", "app": "nn", "arch": "pascal", "scale": 2, "timeout_ms": 500, "domains": 3, "instrument": "all", "ms": 10, "future_field": [1, 2]}|}
   in
   match Protocol.parse_request line with
   | Error (_, code, msg) -> Alcotest.failf "parse failed: %s %s" code msg
@@ -33,7 +33,6 @@ let test_parse_ok () =
     check_int "timeout_ms" 500 (Option.get r.Protocol.timeout_ms);
     check_int "domains" 3 (Option.get r.Protocol.domains);
     check_string "instrument" "all" (Option.get r.Protocol.instrument);
-    check_string "out" "/tmp/t.json" (Option.get r.Protocol.out);
     check_int "ms" 10 (Option.get r.Protocol.ms)
 
 let test_parse_defaults () =
@@ -256,7 +255,6 @@ let expected_profile_nn_line ~id =
 let test_roundtrip_every_op () =
   with_server ~workers:2 (fun path _srv ->
       let fd = connect path in
-      let trace_out = Filename.temp_file "advisor-test-trace" ".json" in
       send fd {|{"id": 0, "op": "ping"}|};
       send fd {|{"id": 1, "op": "list"}|};
       send fd {|{"id": 2, "op": "metrics"}|};
@@ -265,12 +263,9 @@ let test_roundtrip_every_op () =
       send fd {|{"id": 5, "op": "profile", "app": "nn"}|};
       send fd {|{"id": 6, "op": "check", "app": "nn"}|};
       send fd {|{"id": 7, "op": "bypass", "app": "nn"}|};
-      send fd
-        (Printf.sprintf {|{"id": 8, "op": "trace", "app": "nn", "out": %S}|}
-           trace_out);
-      let by_id = collect fd 9 in
+      let by_id = collect fd 8 in
       Unix.close fd;
-      for i = 0 to 8 do
+      for i = 0 to 7 do
         let line, v = List.assoc i by_id in
         check_bool (Printf.sprintf "request %d ok (%s)" i line) true (resp_ok v)
       done;
@@ -284,11 +279,7 @@ let test_roundtrip_every_op () =
       | _ -> Alcotest.fail "check response carries an error count");
       (match Jsonv.member "oracle" (result 7) with
       | Some _ -> ()
-      | None -> Alcotest.fail "bypass response carries the oracle");
-      check_bool "trace wrote the chrome file" true (Sys.file_exists trace_out);
-      Sys.remove trace_out;
-      Obs.Trace.disable ();
-      Obs.Trace.clear ())
+      | None -> Alcotest.fail "bypass response carries the oracle"))
 
 let test_served_profile_matches_oneshot () =
   with_server ~workers:2 (fun path _srv ->
@@ -640,7 +631,6 @@ let test_cachekey_of_request () =
     (key {|{"op": "check", "app": "nn"}|} <> k_implicit);
   check_bool "non-cacheable ops have no key" true
     (key {|{"op": "metrics"}|} = None
-    && key {|{"op": "trace", "app": "nn"}|} = None
     && key {|{"op": "compile", "app": "nn"}|} = None);
   check_bool "unknown app has no key" true
     (key {|{"op": "profile", "app": "doom"}|} = None)
@@ -790,14 +780,6 @@ let test_metrics_ops () =
         | Some (Obs.Metrics.Histogram h) ->
           h.Obs.Metrics.count >= 1 && h.Obs.Metrics.filled <> []
         | _ -> false);
-      (* exposition shape *)
-      send fd {|{"id": 4, "op": "metrics_text"}|};
-      let tx = field "result" (parse_resp (List.hd (read_lines fd 1))) in
-      (match Jsonv.member "text" tx with
-      | Some (Jsonv.Str t) ->
-        check_bool "exposition has a counter TYPE line" true
-          (contains t "# TYPE serve_requests counter")
-      | _ -> Alcotest.fail "metrics_text carries no text");
       Unix.close fd)
 
 (* The HTTP exposition endpoint: a TCP scrape gets a 0.0.4 text page
@@ -861,12 +843,11 @@ let test_exposition_endpoint () =
           check_bool (Printf.sprintf "line parses: %s" line) true ok)
         (String.split_on_char '\n' body))
 
-let test_access_log_sampling () =
+let test_access_log () =
   let log_path = Filename.temp_file "advisor-access" ".ndjson" in
   Sys.remove log_path;
   with_server ~workers:1
-    ~extra:(fun c ->
-      { c with Server.access_log = Some log_path; access_log_sample = 2 })
+    ~extra:(fun c -> { c with Server.access_log = Some log_path })
     (fun path _srv ->
       let fd = connect path in
       for i = 1 to 4 do
@@ -882,7 +863,7 @@ let test_access_log_sampling () =
          done
        with End_of_file -> ());
       close_in ic;
-      check_int "every 2nd request logged" 2 (List.length !lines);
+      check_int "one line per request" 4 (List.length !lines);
       List.iter
         (fun line ->
           let v = parse_resp line in
@@ -893,9 +874,7 @@ let test_access_log_sampling () =
           check_bool "entry has total_ns" true
             (match Jsonv.member "total_ns" v with
             | Some (Jsonv.Num _) -> true
-            | _ -> false);
-          check_bool "entry names the serving process" true
-            (Jsonv.member "proc" v = Some (Jsonv.Str "serve")))
+            | _ -> false))
         !lines);
   Sys.remove log_path
 
@@ -919,33 +898,31 @@ let test_slo_accounting () =
   check_bool "burn without traffic is 0" true
     (Serve.Slo.burn ~breaches:0 ~requests:0 = 0.)
 
-(* ----- --trace-dir, end to end -----
+(* ----- serve --trace, end to end -----
 
-   Drives the real CLI binary as a subprocess: the span sink is
-   process-global, so an in-process daemon would leak span records
-   from every other test in this runner into the directory. *)
+   Drives the real CLI binary as a subprocess: tracing is
+   process-global, so an in-process daemon would mix in the spans of
+   every other test in this runner. *)
 
 let cli_binary () =
   Filename.concat
     (Filename.concat (Filename.dirname Sys.executable_name) "../bin")
     "advisor_cli.exe"
 
-(* One traced profile through `advisor serve --trace-dir`: trace-merge
-   turns the daemon's span file into a Chrome trace with separate
-   intake and worker process groups, holding the request's spans under
-   the client's trace id. *)
-let test_trace_dir_merge () =
+(* A cold exact profile, the same request again (a cache hit answered
+   at intake) and a static-tier profile_fast through `advisor serve
+   --trace FILE`: the Chrome trace written on SIGTERM holds one
+   serve:intake span per request, all on the intake domain, and the
+   exact profile ran on a worker domain. *)
+let test_serve_trace_phases () =
   let cli = cli_binary () in
   if not (Sys.file_exists cli) then Alcotest.skip ();
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "advisor-test-spans-%d" (Unix.getpid ()))
-  in
+  let trace_file = Filename.temp_file "advisor-serve-trace" ".json" in
   let path = fresh_socket_path () in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
   let pid =
     Unix.create_process cli
-      [| cli; "serve"; "--socket"; path; "--workers"; "2"; "--trace-dir"; dir |]
+      [| cli; "serve"; "--socket"; path; "--workers"; "2"; "--trace"; trace_file |]
       devnull devnull devnull
   in
   Unix.close devnull;
@@ -961,39 +938,70 @@ let test_trace_dir_merge () =
   Fun.protect
     ~finally:(fun () ->
       stop_once ();
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun f -> Sys.remove (Filename.concat dir f))
-          (Sys.readdir dir);
-        Unix.rmdir dir
-      end)
+      if Sys.file_exists trace_file then Sys.remove trace_file)
     (fun () ->
       let fd = connect path in
-      send fd {|{"id": 1, "op": "profile", "app": "nn", "trace_id": "t-e2e-1"}|};
-      let v = parse_resp (List.hd (read_lines fd 1)) in
-      check_bool "traced profile ok" true (resp_ok v);
+      let answer line =
+        send fd line;
+        let v = parse_resp (List.hd (read_lines fd 1)) in
+        check_bool (Printf.sprintf "%s ok" line) true (resp_ok v)
+      in
+      answer {|{"id": 1, "op": "profile", "app": "nn"}|};
+      answer {|{"id": 2, "op": "profile", "app": "nn"}|};
+      answer {|{"id": 3, "op": "profile_fast", "app": "bfs"}|};
       Unix.close fd;
-      (* drain the daemon so its span file is closed and flushed *)
+      (* the trace is exported on clean shutdown *)
       stop_once ();
-      let m = Obs.Tracemerge.merge ~trace_id:"t-e2e-1" ~dir () in
-      let procs = m.Obs.Tracemerge.procs in
+      let text = In_channel.with_open_bin trace_file In_channel.input_all in
+      let events =
+        match Jsonv.parse text with
+        | Ok (Jsonv.Arr l) -> l
+        | Ok _ -> Alcotest.fail "trace is not a JSON array"
+        | Error e -> Alcotest.failf "trace does not parse: %s" e
+      in
+      let str k e = Option.bind (Jsonv.member k e) Jsonv.to_string_opt in
+      let tid e =
+        match Jsonv.member "tid" e with
+        | Some (Jsonv.Num f) -> int_of_float f
+        | _ -> Alcotest.fail "span event without a tid"
+      in
+      (* every B has its E, innermost first, on the same tid *)
+      let open_spans = Hashtbl.create 4 in
       List.iter
-        (fun p ->
-          check_bool
-            (Printf.sprintf "process group %s present (got %s)" p
-               (String.concat "," procs))
-            true (List.mem p procs))
-        [ "serve"; "serve/worker" ];
-      let j = m.Obs.Tracemerge.json in
-      List.iter
-        (fun name ->
-          check_bool (Printf.sprintf "span %s present" name) true
-            (contains j (Printf.sprintf "\"name\":\"%s\"" name)))
-        [ "serve:intake"; "serve:queue"; "serve:profile" ];
-      (* the merged trace is valid JSON *)
-      match Jsonv.parse j with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "merged trace does not parse: %s" e)
+        (fun e ->
+          match str "ph" e with
+          | Some "B" ->
+            let t = tid e in
+            Hashtbl.replace open_spans t
+              (str "name" e
+              :: Option.value (Hashtbl.find_opt open_spans t) ~default:[])
+          | Some "E" -> (
+            let t = tid e in
+            match Hashtbl.find_opt open_spans t with
+            | Some (name :: rest) when name = str "name" e ->
+              Hashtbl.replace open_spans t rest
+            | _ -> Alcotest.failf "E does not close the innermost B on tid %d" t)
+          | _ -> ())
+        events;
+      Hashtbl.iter
+        (fun t stack -> check_int (Printf.sprintf "spans left open on tid %d" t) 0
+            (List.length stack))
+        open_spans;
+      let begins name =
+        List.filter (fun e -> str "ph" e = Some "B" && str "name" e = Some name) events
+      in
+      let intake = begins "serve:intake" in
+      check_int "one serve:intake span per request" 3 (List.length intake);
+      check_int "the cache hit never reached a worker" 1
+        (List.length (begins "serve:profile"));
+      check_int "profile_fast answered by the static tier" 1
+        (List.length (begins "serve:static"));
+      let intake_tids = List.sort_uniq compare (List.map tid intake) in
+      check_int "intake runs on one domain" 1 (List.length intake_tids);
+      check_bool "serve:profile ran on a worker domain" true
+        (List.for_all
+           (fun e -> not (List.mem (tid e) intake_tids))
+           (begins "serve:profile")))
 
 (* ----- jobq ----- *)
 
@@ -1385,15 +1393,14 @@ let () =
         ] );
       ( "telemetry",
         [
-          Alcotest.test_case "metrics, metrics_raw, metrics_text ops" `Quick
+          Alcotest.test_case "metrics and metrics_raw ops" `Quick
             test_metrics_ops;
           Alcotest.test_case "prometheus exposition over TCP" `Quick
             test_exposition_endpoint;
-          Alcotest.test_case "access log with sampling" `Quick
-            test_access_log_sampling;
+          Alcotest.test_case "access log" `Quick test_access_log;
           Alcotest.test_case "SLO breach accounting" `Quick test_slo_accounting;
-          Alcotest.test_case "trace-dir spans merge into one trace" `Quick
-            test_trace_dir_merge;
+          Alcotest.test_case "serve --trace records every phase" `Quick
+            test_serve_trace_phases;
         ] );
       ( "evaluate",
         [
